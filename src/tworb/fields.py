@@ -3,8 +3,11 @@
 Two desk-scale models are provided:
 
 * ``rational``: F = Q, E = Q(sqrt(tau)) for a non-square rational tau.
-  Elements are stored as pairs (a, b) of :class:`fractions.Fraction`
-  meaning a + b*sqrt(tau); the involution sends b to -b.
+  Elements are stored as pairs (a, b) meaning a + b*sqrt(tau); each of a,
+  b (and tau itself) is stored as an ``int`` when it is integral and as a
+  :class:`fractions.Fraction` only when it is not, so elements of
+  Z[sqrt(tau)] compute in plain integers.  The two types mix exactly and
+  agree under ``==`` and ``hash``.  The involution sends b to -b.
 * ``finite``: F = F_q with q = p^e, E = F_{q^2}.  E is realised as
   F_p[x]/(mu) for a fixed irreducible mu of degree 2e, elements are
   coefficient tuples over F_p, and the involution is the relative
@@ -43,6 +46,14 @@ def _is_prime(m: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _rat(x) -> int | Fraction:
+    """A rational value as an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _fraction_is_square(t: Fraction) -> bool:
@@ -165,8 +176,10 @@ def _find_irreducible(degree: int, p: int) -> list[int]:
 class ExtElement:
     """An element of E.  Immutable; arithmetic is delegated to its model.
 
-    Payload is (a, b) of Fractions for the rational model (a + b*sqrt(tau))
-    and a coefficient tuple over F_p for the finite model.
+    Payload is (a, b) for the rational model (a + b*sqrt(tau)), each an
+    int or a non-integral Fraction, and a coefficient tuple over F_p for
+    the finite model.  Operands from two different models raise
+    FieldModelError, in arithmetic and in ``==`` alike.
     """
 
     __slots__ = ("model", "payload")
@@ -177,6 +190,9 @@ class ExtElement:
 
     def _coerce(self, other):
         if isinstance(other, ExtElement):
+            if other.model is not self.model and other.model != self.model:
+                raise FieldModelError(
+                    f"mixed field models: {self.model!r} and {other.model!r}")
             return other
         if isinstance(other, int):
             return self.model.from_int(other)
@@ -220,14 +236,10 @@ class ExtElement:
         return ExtElement(self.model, self.model._neg(self.payload))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.model.from_int(other)
-        if not isinstance(other, ExtElement):
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return (
-            self.model.descriptor() == other.model.descriptor()
-            and self.payload == other.payload
-        )
+        return self.payload == o.payload
 
     def __hash__(self):
         return hash(self.payload)
@@ -249,7 +261,7 @@ class QuadraticExtensionModel:
     its arguments.
     """
 
-    def __init__(self, kind: str, *, tau: Fraction | None = None,
+    def __init__(self, kind: str, *, tau: int | Fraction | None = None,
                  p: int | None = None, e: int | None = None):
         self.kind = kind
         if kind == "rational":
@@ -301,14 +313,14 @@ class QuadraticExtensionModel:
 
     def from_int(self, m: int) -> ExtElement:
         if self.kind == "rational":
-            return ExtElement(self, (Fraction(m), Fraction(0)))
+            return ExtElement(self, (_rat(m), 0))
         return ExtElement(self, self._pad([m % self.p]))
 
     def el(self, a, b=0) -> ExtElement:
         """a + b*gen, with a and b base-field rationals (rational kind only)."""
         if self.kind != "rational":
             raise FieldModelError("el(a, b) is for the rational model")
-        return ExtElement(self, (Fraction(a), Fraction(b)))
+        return ExtElement(self, (_rat(a), _rat(b)))
 
     def from_coeffs(self, coeffs) -> ExtElement:
         if self.kind != "finite":
@@ -330,7 +342,7 @@ class QuadraticExtensionModel:
     def gen(self) -> ExtElement:
         """A generator of E over F: sqrt(tau), or the class of x."""
         if self.kind == "rational":
-            return ExtElement(self, (Fraction(0), Fraction(1)))
+            return ExtElement(self, (0, 1))
         return ExtElement(self, self._pad([0, 1]))
 
     # -- raw payload arithmetic -------------------------------------------
@@ -387,7 +399,7 @@ class QuadraticExtensionModel:
         if self.kind == "rational":
             a, b = x
             nrm = a * a - self.tau * b * b
-            return (a / nrm, -b / nrm)
+            return (_rat(Fraction(a, nrm)), _rat(Fraction(-b, nrm)))
         # extended Euclid in F_p[x] against the modulus
         p = self.p
         r0, r1 = list(self.modulus), _poly_trim(list(x))
@@ -463,9 +475,8 @@ class QuadraticExtensionModel:
         return basis
 
     def prime_coords(self, x: ExtElement):
-        if self.kind == "rational":
-            return x.payload  # (a, b) Fractions
-        return x.payload  # coefficient tuple over F_p
+        """(a, b) of ints/Fractions, or a coefficient tuple over F_p."""
+        return x.payload
 
     @property
     def prime_dim_per_e_dim(self) -> int:
@@ -532,7 +543,7 @@ def make_extension(spec) -> QuadraticExtensionModel:
         raise FieldModelError(f"bad field descriptor: {spec!r}")
     kind = spec["kind"]
     if kind == "rational":
-        tau = Fraction(str(spec.get("tau", 2)))
+        tau = _rat(str(spec.get("tau", 2)))
         if _fraction_is_square(tau):
             raise RadicandIsSquare(f"tau={tau} is a square in Q")
         return QuadraticExtensionModel("rational", tau=tau)

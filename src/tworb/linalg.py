@@ -15,8 +15,8 @@ by e; FLinearSystem owns that single conversion point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import ExtElement, QuadraticExtensionModel
 
@@ -171,12 +171,6 @@ class TwistedEndo:
             raise ValueError("matrix must be square")
         return cls(model, len(m), m)
 
-    def apply(self, v):
-        s = self.model.sigma
-        sv = [s(x) for x in v]
-        return [sum((self.mat[i][j] * sv[j] for j in range(1, self.n)),
-                    start=self.mat[i][0] * sv[0]) for i in range(self.n)]
-
     def to_json(self):
         m = self.model
         return [[m.element_to_json(x) for x in row] for row in self.mat]
@@ -207,8 +201,14 @@ def twisted_bracket(z: Matrix, y: TwistedEndo) -> Matrix:
 
 
 def is_nilpotent(y: TwistedEndo) -> bool:
-    """True iff the 2n-th twisted power vanishes."""
-    return mat_is_zero(twisted_power(y, 2 * y.n))
+    """True iff the n-th twisted power vanishes.
+
+    The images of the powers of a sigma-semilinear map are E-subspaces,
+    each inside the one before; once two consecutive images agree, all
+    later ones do.  So the dimensions fall strictly until they settle,
+    which happens by power n, and a nilpotent map vanishes by power n.
+    """
+    return mat_is_zero(twisted_power(y, y.n))
 
 
 # ---------------------------------------------------------------------------
@@ -276,29 +276,23 @@ def _rank_modp(rows: list[list[int]], p: int) -> int:
 
 
 def _scale_rows_to_int(rows) -> list[list[int]]:
+    """Clear each row's denominators; integral rows pass through as is."""
     out = []
     for r in rows:
-        fr = [Fraction(x) for x in r]
-        mult = 1
-        for x in fr:
-            mult = mult * x.denominator // _gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in fr])
+        mult = math.lcm(*(x.denominator for x in r))
+        out.append(r if mult == 1 else [int(x * mult) for x in r])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
 class FLinearSystem:
     """An F-linear map, flattened to a matrix over the prime field.
 
-    ``rows`` are the matrix rows (prime-field scalars: Fractions/ints over
-    Q, ints over F_p).  Stated dimensions are F-dimensions; for the finite
-    model they equal prime-field dimensions divided by subfield_degree.
+    ``rows`` are the matrix rows of prime-field scalars: over Q each entry
+    is an int, or a Fraction when it is not integral (integral rows go to
+    fraction-free elimination unchanged); over F_p each is an int.  Stated
+    dimensions are F-dimensions; for the finite model they equal
+    prime-field dimensions divided by subfield_degree.
     """
 
     rows: tuple
@@ -400,7 +394,6 @@ def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
         domain_positions = list(domain_positions)
     basis = model.prime_basis()
     per = model.prime_dim_per_e_dim
-    zero_scalar = Fraction(0) if model.kind == "rational" else 0
     w = y.mat
     zero_e = model.zero
     cols = []
@@ -416,7 +409,7 @@ def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
                 v = smono * w[i][a]
                 if v:
                     entries[(i, b)] = entries.get((i, b), zero_e) - v
-            col = [zero_scalar] * (n * n * per)
+            col = [0] * (n * n * per)
             for (i, j), v in entries.items():
                 base = (i * n + j) * per
                 for t, cv in enumerate(model.prime_coords(v)):

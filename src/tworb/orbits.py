@@ -120,7 +120,7 @@ def jordan_type_of(y: TwistedEndo) -> JordanType:
     The number of blocks of size >= k is rank(P_{k-1}) - rank(P_k).
     """
     if not is_nilpotent(y):
-        raise NotNilpotent("twisted power of order 2n does not vanish")
+        raise NotNilpotent("twisted power of order n does not vanish")
     n = y.n
     ranks = [n]
     power = twisted_power(y, 0)
@@ -216,7 +216,7 @@ def orbit_census(n: int, model: QuadraticExtensionModel, *,
 
     Exhaustive when the matrix count fits the budget; otherwise a seeded
     sample of ``sample_size`` matrices must be requested explicitly.
-    Nilpotency is tested as twisted_power(Y, 2n) = 0.  Buckets are plain
+    Nilpotency is tested as twisted_power(Y, n) = 0.  Buckets are plain
     counts keyed by type, so partial enumerations over index ranges merge
     associatively; the returned dict is in canonical type order.
     """

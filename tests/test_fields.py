@@ -128,6 +128,55 @@ def test_element_json_round_trip():
     assert F9.element_from_json(F9.element_to_json(y)) == y
 
 
+def test_integral_payloads_are_ints():
+    assert all(type(c) is int for c in RAT.el(3, -2).payload)
+    assert all(type(c) is int for c in (RAT.zero.payload + RAT.gen.payload))
+    assert type(RAT.tau) is int
+    half = RAT.el(Fraction(1, 2), 4)
+    assert half.payload == (Fraction(1, 2), 4) and type(half.payload[1]) is int
+    # the inverse divides exactly, never as a float
+    inv = RAT.el(3, 2).inverse()
+    assert inv == RAT.el(3, -2)
+    assert all(type(c) is int for c in inv.payload)
+    assert RAT.el(2).inverse().payload == (Fraction(1, 2), 0)
+
+
+def test_integral_fraction_equals_int():
+    x, y = RAT.el(Fraction(4, 2)), RAT.from_int(2)
+    assert x == y and hash(x) == hash(y)
+    assert RAT.element_to_json(x) == RAT.element_to_json(y) == {"a": 2, "b": 0}
+    # an integral Fraction reached by arithmetic still agrees with the int
+    z = RAT.el(Fraction(1, 2)) * 4
+    assert z == y and hash(z) == hash(y)
+    assert RAT.element_to_json(z) == RAT.element_to_json(y)
+    assert repr(z) == repr(y) == "ExtElement(2+0*sqrt(2))"
+    assert RAT.element_to_json(RAT.el(Fraction(-1, 3), 5)) == \
+        {"a": "-1/3", "b": 5}
+
+
+def test_mixed_models_raise():
+    rat3 = make_extension({"kind": "rational", "tau": 3})
+    f16 = make_extension({"kind": "finite", "p": 2, "e": 2})
+    for x, y in [(RAT.one, rat3.one), (F4.gen, F9.gen), (F4.one, f16.one)]:
+        with pytest.raises(FieldModelError):
+            x + y
+        with pytest.raises(FieldModelError):
+            x * y
+        with pytest.raises(FieldModelError):
+            y - x
+        with pytest.raises(FieldModelError):
+            x == y
+
+
+def test_equal_models_from_separate_calls_combine():
+    rat2 = make_extension({"kind": "rational", "tau": 2})
+    assert rat2 is not RAT and rat2 == RAT
+    assert RAT.one + rat2.gen == RAT.el(1, 1)
+    assert rat2.gen * RAT.gen == rat2.from_int(2)
+    f9 = make_extension({"kind": "finite", "p": 3, "e": 1})
+    assert F9.gen * f9.gen == f9.gen * F9.gen
+
+
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tworb.fields import make_extension
@@ -13,10 +13,11 @@ from tworb.linalg import (FLinearSystem, SingularMatrix, TwistedEndo,
                           is_nilpotent, kernel_dim_F, mat_eq, mat_identity,
                           mat_inv, mat_mul, mat_rank, mat_sigma,
                           sigma_conjugate, twisted_bracket, twisted_power)
-from tworb.orbits import jordan_type_of
+from tworb.orbits import JordanType, jordan_type_of, standard_representative
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
+F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
 
 
 def endo(rows, model=RAT):
@@ -134,6 +135,46 @@ def test_is_nilpotent_cases():
     assert is_nilpotent(upper)
 
 
+def _is_zero(mat):
+    return all(not x for row in mat for x in row)
+
+
+@pytest.mark.parametrize("model", [F4, F9], ids=["F4", "F9"])
+def test_power_n_vanishes_iff_power_2n_does(model):
+    rng = random.Random(2024)
+    n, nilpotent = 3, 0
+    for _ in range(2000):
+        y = TwistedEndo(model, n, tuple(
+            tuple(model.random_element(rng) for _ in range(n))
+            for _ in range(n)))
+        at_n = _is_zero(twisted_power(y, n))
+        assert at_n == _is_zero(twisted_power(y, 2 * n))
+        assert is_nilpotent(y) == at_n
+        nilpotent += at_n
+    # the sample holds nilpotents, so both directions are exercised
+    assert nilpotent > 0
+
+
+@pytest.mark.parametrize("model", [RAT, F9], ids=["Q(sqrt2)", "F3"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_regular_representative_vanishes_exactly_at_power_n(model, n):
+    y = standard_representative(JordanType((n,)), model)
+    assert not _is_zero(twisted_power(y, n - 1))
+    assert _is_zero(twisted_power(y, n))
+    assert is_nilpotent(y)
+
+
+def test_integral_rational_products_keep_int_payloads():
+    rng = random.Random(3)
+    a = endo([[RAT.el(rng.randint(-5, 5), rng.randint(-5, 5))
+               for _ in range(3)] for _ in range(3)])
+    b = endo([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+    for mat in (mat_mul(a.mat, b.mat), twisted_power(a, 4)):
+        assert all(type(c) is int
+                   for row in mat for x in row for c in x.payload)
+    assert all(type(c) is int for row in bracket_system(a).rows for c in row)
+
+
 def test_kernel_dim_examples():
     zero_map = FLinearSystem.from_prime_rows(
         [[Fraction(0)] * 3 for _ in range(3)], char=0)
@@ -211,6 +252,38 @@ def test_bareiss_rank_matches_fraction_gauss(seed):
     if rng.random() < 0.5 and nr > 1:  # force rank deficiency sometimes
         k = rng.randrange(1, nr)
         rows[k] = [2 * x for x in rows[0]]
+    assert _rank_bareiss_int([r[:] for r in rows]) == \
+        _rank_fraction_gauss(rows)
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, often rank deficient, often with rows that
+    are zero in a later pivot column."""
+    nr = draw(st.integers(min_value=1, max_value=6))
+    nc = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-5, max_value=5)
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc))
+            for _ in range(nr)]
+    # zero a column below its first row: later pivots meet zero entries
+    col = draw(st.integers(min_value=0, max_value=nc - 1))
+    for r in rows[1:]:
+        if draw(st.booleans()):
+            r[col] = 0
+    # replace some rows by integer combinations of the others
+    for k in range(1, nr):
+        if draw(st.booleans()):
+            c1, c2 = draw(entry), draw(entry)
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+@given(int_matrices())
+# rank 2: the second row is zero in the first pivot column
+@example([[2, 4, 1], [0, 0, 3], [1, 2, 5], [3, 6, 0]])
+@settings(max_examples=200, deadline=None)
+def test_bareiss_rank_matches_fraction_gauss_on_drawn_matrices(rows):
     assert _rank_bareiss_int([r[:] for r in rows]) == \
         _rank_fraction_gauss(rows)
 

@@ -165,8 +165,8 @@ def test_census_n2_q2_exhaustive():
 
 
 def test_nilpotency_criteria_agree_exhaustively():
-    # P_{2n} = 0 iff Y sigma(Y) is nilpotent as an E-matrix; for n = 2
-    # the latter is (Y sigma(Y))^2 = 0
+    # is_nilpotent tests P_n = 0, which holds iff Y sigma(Y) is nilpotent
+    # as an E-matrix; for n = 2 the latter is (Y sigma(Y))^2 = 0
     import itertools
 
     from tworb.linalg import is_nilpotent, mat_mul, mat_sigma
