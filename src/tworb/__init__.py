@@ -11,7 +11,7 @@ from .fields import (ExtElement, FieldModelError, NotPrime,
                      QuadraticExtensionModel, RadicandIsSquare,
                      make_extension, norm, sigma)
 from .linalg import (FLinearSystem, NotNilpotent, SingularMatrix, TwistedEndo,
-                     is_nilpotent, kernel_dim_F, sigma_conjugate,
+                     is_nilpotent, sigma_conjugate,
                      twisted_bracket, twisted_power)
 from .orbits import (BudgetExceeded, JordanType, OrbitInvariants,
                      centralizer_dim_oracle, check_dimHY, enumerate_orbits,
@@ -23,7 +23,7 @@ from .parabolic import (AdaptedParabolic, BadComposition, GenericityFailure,
                         n_x_dim_oracle, rank_criterion, standard_parabolic,
                         verify_porb)
 from .ratfun import (BivariateRationalFunction, DivisionByZero,
-                     NonUnitDenominator)
+                     FactoredRationalFunction, NonUnitDenominator)
 from .zeta import (ExponentTable, LocalZetaFactor, delta_matrix,
                    exponent_table, homogeneity_identity_check,
                    igusa_matrix_factor, local_zeta_model,

@@ -276,11 +276,14 @@ def _rank_modp(rows: list[list[int]], p: int) -> int:
 
 
 def _scale_rows_to_int(rows) -> list[list[int]]:
-    """Clear each row's denominators; integral rows pass through as is."""
+    """Clear each row's denominators; all-int rows pass through as is."""
     out = []
     for r in rows:
-        mult = math.lcm(*(x.denominator for x in r))
-        out.append(r if mult == 1 else [int(x * mult) for x in r])
+        if all(type(x) is int for x in r):
+            out.append(r)
+        else:
+            mult = math.lcm(*(x.denominator for x in r))
+            out.append([int(x * mult) for x in r])
     return out
 
 
@@ -289,10 +292,10 @@ class FLinearSystem:
     """An F-linear map, flattened to a matrix over the prime field.
 
     ``rows`` are the matrix rows of prime-field scalars: over Q each entry
-    is an int, or a Fraction when it is not integral (integral rows go to
-    fraction-free elimination unchanged); over F_p each is an int.  Stated
-    dimensions are F-dimensions; for the finite model they equal
-    prime-field dimensions divided by subfield_degree.
+    is an int or a Fraction (rows of ints go to fraction-free elimination
+    unchanged, other rows are scaled to ints first); over F_p each is an
+    int.  Stated dimensions are F-dimensions; for the finite model they
+    equal prime-field dimensions divided by subfield_degree.
     """
 
     rows: tuple
@@ -329,10 +332,6 @@ class FLinearSystem:
         dom = domain_dim_F if domain_dim_F is not None else ncols // e
         cod = codomain_dim_F if codomain_dim_F is not None else len(rows) // e
         return cls(rows, dom, cod, char, e)
-
-
-def kernel_dim_F(system: FLinearSystem) -> int:
-    return system.kernel_dim_F()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ keeps numerator and denominator as coprime integer polynomials with no
 common content and a positive leading denominator coefficient in the
 lexicographic order q > T.  Construction accepts any sympy expression
 that is rational in (q, T), including negative powers of q.
+
+Local factors are built, multiplied, divided and compared in the factored
+form ``FactoredRationalFunction`` and rendered to the canonical form once.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ class BivariateRationalFunction:
     # -- substitution, series, evaluation -------------------------------------
 
     def substitute_T(self, q_shift: int, t_power: int) -> "BivariateRationalFunction":
-        """Replace T by q^(-q_shift) * T^t_power (q_shift >= 0, t_power >= 1)."""
+        """Replace T by q^(-q_shift) * T^t_power; injective on factors."""
         repl = Q ** (-q_shift) * T**t_power
         return BivariateRationalFunction(self.num.subs(T, repl),
                                          self.den.subs(T, repl))
@@ -196,3 +199,87 @@ class BivariateRationalFunction:
 
 
 ONE = BivariateRationalFunction(1, 1)
+
+
+class FactoredRationalFunction:
+    """Immutable q^a T^b prod (1 - q^-a' T^b')^m, for local factors.
+
+    Stored as the monomial exponents (a, b) and a reduced dict
+    {(a', b'): m} with a' >= 1, b' >= 0 and every m nonzero.  The factors
+    1 - u^k are multiplicatively independent: for one primitive monomial u
+    they are unitriangular in the cyclotomic factors Phi_d(u), and
+    distinct primitive monomials give coprime Phi_d(u).  So this form is
+    unique: products and quotients add and subtract exponents, and
+    equality compares forms, exactly and without sympy.
+    """
+
+    __slots__ = ("q_exp", "t_exp", "factors")
+
+    def __init__(self, q_exp: int = 0, t_exp: int = 0, factors=None):
+        reduced = {}
+        for (a, b), m in (factors or {}).items():
+            if a < 1 or b < 0:
+                raise ValueError(f"factor 1 - q^-{a} T^{b} needs a >= 1, "
+                                 "b >= 0")
+            if m:
+                reduced[(a, b)] = m
+        object.__setattr__(self, "q_exp", q_exp)
+        object.__setattr__(self, "t_exp", t_exp)
+        object.__setattr__(self, "factors", reduced)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FactoredRationalFunction is immutable")
+
+    def _combine(self, other, sign: int) -> "FactoredRationalFunction":
+        if not isinstance(other, FactoredRationalFunction):
+            return NotImplemented
+        factors = dict(self.factors)
+        for key, m in other.factors.items():
+            factors[key] = factors.get(key, 0) + sign * m
+        return FactoredRationalFunction(self.q_exp + sign * other.q_exp,
+                                        self.t_exp + sign * other.t_exp,
+                                        factors)
+
+    def __mul__(self, other):
+        return self._combine(other, 1)
+
+    def __truediv__(self, other):
+        return self._combine(other, -1)
+
+    def __eq__(self, other):
+        if not isinstance(other, FactoredRationalFunction):
+            return NotImplemented
+        return (self.q_exp == other.q_exp and self.t_exp == other.t_exp
+                and self.factors == other.factors)
+
+    __hash__ = None
+
+    def __repr__(self):
+        parts = [f"(1 - q^-{a} T^{b})^{m}"
+                 for (a, b), m in sorted(self.factors.items())]
+        return " * ".join([f"q^{self.q_exp} T^{self.t_exp}", *parts])
+
+    def substitute_T(self, q_shift: int,
+                     t_power: int) -> "FactoredRationalFunction":
+        """Replace T by q^(-q_shift) * T^t_power; injective on factors."""
+        if q_shift < 0 or t_power < 1:
+            raise ValueError("need q_shift >= 0 and t_power >= 1")
+        return FactoredRationalFunction(
+            self.q_exp - q_shift * self.t_exp, t_power * self.t_exp,
+            {(a + q_shift * b, t_power * b): m
+             for (a, b), m in self.factors.items()})
+
+    def to_ratfun(self) -> BivariateRationalFunction:
+        """The canonical num/den form, through one normalization."""
+        num = den = sympy.Integer(1)
+        q_exp = self.q_exp
+        for (a, b), m in self.factors.items():
+            # 1 - q^-a T^b = (q^a - T^b) / q^a
+            q_exp -= a * m
+            if m > 0:
+                num *= (Q**a - T**b) ** m
+            else:
+                den *= (Q**a - T**b) ** -m
+        num *= Q ** max(q_exp, 0) * T ** max(self.t_exp, 0)
+        den *= Q ** max(-q_exp, 0) * T ** max(-self.t_exp, 0)
+        return BivariateRationalFunction(num, den)

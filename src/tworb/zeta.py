@@ -16,7 +16,7 @@ from fractions import Fraction
 from .linalg import TwistedEndo
 from .orbits import JordanType, orbit_dimension
 from .parabolic import ShapeMismatch, adapted_parabolic
-from .ratfun import BivariateRationalFunction, ONE
+from .ratfun import BivariateRationalFunction, FactoredRationalFunction
 
 
 @dataclass(frozen=True)
@@ -125,22 +125,16 @@ def delta_matrix(t: JordanType, blocks: dict,
 
 @dataclass(frozen=True)
 class LocalZetaFactor:
-    """One exact factor, with enough provenance to transform it under
-    lattice scaling: (i, j, d_j, e_ij, j - i), or None for a bare matrix
-    Igusa factor."""
+    """One exact factor in factored form, with enough provenance to
+    transform it under lattice scaling: (i, j, d_j, e_ij, j - i), or None
+    for a bare matrix Igusa factor."""
 
-    value: BivariateRationalFunction
-    num_consts: tuple[int, ...]          # factors (1 - q^-a)
-    den_factors: tuple[tuple[int, int], ...]  # factors (1 - q^-a T^b)
+    form: FactoredRationalFunction
     provenance: tuple | None = None
 
-    def to_json(self) -> dict:
-        out = {"value": self.value.to_json(),
-               "num_consts": list(self.num_consts),
-               "den_factors": [list(f) for f in self.den_factors]}
-        if self.provenance:
-            out["provenance"] = list(self.provenance)
-        return out
+    @property
+    def value(self) -> BivariateRationalFunction:
+        return self.form.to_ratfun()
 
 
 def igusa_matrix_factor(d: int) -> LocalZetaFactor:
@@ -151,37 +145,28 @@ def igusa_matrix_factor(d: int) -> LocalZetaFactor:
     """
     if d < 0:
         raise ValueError("d must be >= 0")
-    value = ONE
-    num_consts, den_factors = [], []
-    for k in range(d):
-        a = k + 1
-        num = BivariateRationalFunction.from_int(1) - \
-            BivariateRationalFunction.monomial(-a, 0)
-        den = BivariateRationalFunction.from_int(1) - \
-            BivariateRationalFunction.monomial(-a, 1)
-        value = value * (num / den)
-        num_consts.append(a)
-        den_factors.append((a, 1))
-    return LocalZetaFactor(value, tuple(num_consts), tuple(den_factors))
+    factors = {}
+    for a in range(1, d + 1):
+        factors[(a, 0)] = 1   # 1 - q^-a
+        factors[(a, 1)] = -1  # over 1 - q^-a T
+    return LocalZetaFactor(FactoredRationalFunction(factors=factors))
 
 
 def local_zeta_factors(t: JordanType) -> list[LocalZetaFactor]:
     """One factor per exponent-table entry, T shifted per its exponent."""
     out = []
     for en in exponent_table(t).entries:
-        base = igusa_matrix_factor(en.d_j)
-        shifted = base.value.substitute_T(en.e, en.s_coeff)
-        den = tuple((a + en.e, b * en.s_coeff) for (a, b) in base.den_factors)
-        out.append(LocalZetaFactor(shifted, base.num_consts, den,
+        base = igusa_matrix_factor(en.d_j).form
+        out.append(LocalZetaFactor(base.substitute_T(en.e, en.s_coeff),
                                    (en.i, en.j, en.d_j, en.e, en.s_coeff)))
     return out
 
 
 def local_zeta_model(t: JordanType) -> BivariateRationalFunction:
-    value = ONE
+    form = FactoredRationalFunction()
     for f in local_zeta_factors(t):
-        value = value * f.value
-    return value
+        form = form * f.form
+    return form.to_ratfun()
 
 
 def scaling_exponent_check(t: JordanType, k: int) -> bool:
@@ -192,23 +177,21 @@ def scaling_exponent_check(t: JordanType, k: int) -> bool:
     weight (F-normalized, so dimensions double), and the u_X integration
     contributes a pure measure factor q^(-k dim_F u_X).  The assembled
     transformed model divided by the assembled original must equal the
-    monomial q^(-k half_dim) T^(k c).
+    monomial q^(-k half_dim) T^(k c).  Both models stay factored, so the
+    quotient is exact exponent arithmetic.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    factors = local_zeta_factors(t)
-    original = ONE
-    transformed = BivariateRationalFunction.monomial(-k * dim_F_uX(t), 0)
-    for f in factors:
+    original = FactoredRationalFunction()
+    transformed = FactoredRationalFunction(-k * dim_F_uX(t), 0)
+    for f in local_zeta_factors(t):
         _, _, d_j, e, s_coeff = f.provenance
-        original = original * f.value
-        mult = BivariateRationalFunction.monomial(-k * 2 * d_j * e,
-                                                  k * 2 * d_j * s_coeff)
-        transformed = transformed * (mult * f.value)
+        original = original * f.form
+        transformed = transformed * FactoredRationalFunction(
+            -k * 2 * d_j * e, k * 2 * d_j * s_coeff) * f.form
     inv = orbit_dimension(t)
-    expected = BivariateRationalFunction.monomial(-k * inv.half_dim,
-                                                  k * inv.c_exponent)
-    return transformed / original == expected
+    return transformed / original == FactoredRationalFunction(
+        -k * inv.half_dim, k * inv.c_exponent)
 
 
 # ---------------------------------------------------------------------------

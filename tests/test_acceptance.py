@@ -8,6 +8,7 @@ targets for the reference environment and are reported, not asserted.
 import itertools
 import time
 
+from tworb.cli import _all_compositions
 from tworb.fields import make_extension
 from tworb.orbits import (JordanType, centralizer_dim_oracle, check_dimHY,
                           enumerate_orbits, gl_order, orbit_census,
@@ -26,19 +27,6 @@ RATIONAL = {"kind": "rational", "tau": 2}
 def _report(num, label, started, cases):
     print(f"ACCEPTANCE {num}: PASS  {label}  "
           f"[{cases} cases, {time.time() - started:.1f}s]")
-
-
-def _compositions(n):
-    for bits in range(2 ** (n - 1)):
-        comp, run = [], 1
-        for i in range(n - 1):
-            if bits & (1 << i):
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        yield tuple(comp)
 
 
 def test_criterion_1_centralizer_formula():
@@ -112,7 +100,7 @@ def test_criterion_5_richardson_induction():
     model = make_extension(RATIONAL)
     cases = 0
     for n in range(1, 7):
-        for comp in _compositions(n):
+        for comp in _all_compositions(n):
             shape = standard_parabolic(comp)
             types = [JordanType((1,) * size) for size in comp]
             expected = richardson_dual(comp)
@@ -129,7 +117,7 @@ def test_criterion_6_single_p_orbit():
     model = make_extension(RATIONAL)
     cases = 0
     for n in range(1, 5):
-        for comp in _compositions(n):
+        for comp in _all_compositions(n):
             shape = standard_parabolic(comp)
             for types in itertools.product(
                     *[enumerate_orbits(size) for size in comp]):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from tworb.fields import make_extension
 from tworb.linalg import (FLinearSystem, SingularMatrix, TwistedEndo,
                           _rank_bareiss_int, bracket_system, flatten_map,
-                          is_nilpotent, kernel_dim_F, mat_eq, mat_identity,
-                          mat_inv, mat_mul, mat_rank, mat_sigma,
-                          sigma_conjugate, twisted_bracket, twisted_power)
+                          is_nilpotent, mat_eq, mat_identity, mat_inv,
+                          mat_mul, mat_rank, mat_sigma, sigma_conjugate,
+                          twisted_bracket, twisted_power)
 from tworb.orbits import JordanType, jordan_type_of, standard_representative
 
 RAT = make_extension({"kind": "rational", "tau": 2})
@@ -178,18 +178,18 @@ def test_integral_rational_products_keep_int_payloads():
 def test_kernel_dim_examples():
     zero_map = FLinearSystem.from_prime_rows(
         [[Fraction(0)] * 3 for _ in range(3)], char=0)
-    assert kernel_dim_F(zero_map) == 3
+    assert zero_map.kernel_dim_F() == 3
     ident = FLinearSystem.from_prime_rows(
         [[1 if i == j else 0 for j in range(4)] for i in range(4)], char=0)
-    assert kernel_dim_F(ident) == 0
+    assert ident.kernel_dim_F() == 0
 
 
 def test_kernel_dim_of_regular_bracket_is_4():
     # the map Z -> [Z, Y_reg] on gl_2(E) = F^8; nullity 4 by row reduction
     system = bracket_system(Y_REG)
     assert system.domain_dim_F == 8 and system.codomain_dim_F == 8
-    assert kernel_dim_F(system) == 4
-    assert system.rank_F() + kernel_dim_F(system) == system.domain_dim_F
+    assert system.kernel_dim_F() == 4
+    assert system.rank_F() + system.kernel_dim_F() == system.domain_dim_F
 
 
 def test_rank_plus_nullity_finite_model():
@@ -286,6 +286,26 @@ def int_matrices(draw):
 def test_bareiss_rank_matches_fraction_gauss_on_drawn_matrices(rows):
     assert _rank_bareiss_int([r[:] for r in rows]) == \
         _rank_fraction_gauss(rows)
+
+
+def test_integral_fraction_rows_reach_bareiss_as_ints(monkeypatch):
+    # x * x.inverse() leaves payloads such as Fraction(1, 1); rows of them
+    # must be converted, not passed through because their lcm is 1
+    import tworb.linalg as linalg
+
+    seen = []
+    real = linalg._rank_bareiss_int
+
+    def spy(rows):
+        seen.extend(x for r in rows for x in r)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_rank_bareiss_int", spy)
+    ints = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
+    fracs = [[Fraction(x) for x in r] for r in ints]
+    assert FLinearSystem.from_prime_rows(fracs, char=0).rank_F() == 2
+    assert seen and all(type(x) is int for x in seen)
+    assert FLinearSystem.from_prime_rows(ints, char=0).rank_F() == 2
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)

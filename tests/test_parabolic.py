@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tworb.cli import _all_compositions
 from tworb.fields import make_extension
 from tworb.linalg import TwistedEndo, mat_eq, mat_mul, mat_sigma
 from tworb.orbits import (JordanType, enumerate_orbits, orbit_dimension,
@@ -219,19 +220,6 @@ def test_induce_shape_mismatch():
 def test_induce_finite_model_large_q():
     shape = standard_parabolic((1, 1, 1))
     assert induce_orbit(shape, zero_types((1, 1, 1)), F101, seed=4) == T(3)
-
-
-def _all_compositions(n):
-    for bits in range(2 ** (n - 1)):
-        comp, run = [], 1
-        for i in range(n - 1):
-            if bits & (1 << i):
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        yield tuple(comp)
 
 
 def test_richardson_rule_small_multi_seed():

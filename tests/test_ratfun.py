@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tworb.ratfun import (ONE, BivariateRationalFunction, DivisionByZero,
-                          NonUnitDenominator, Q, T)
+                          FactoredRationalFunction, NonUnitDenominator, Q, T)
 
 BRF = BivariateRationalFunction
+FRF = FactoredRationalFunction
 
 
 def geometric_example():
@@ -125,3 +126,41 @@ def test_ring_identities(pair):
     assert f - f == BRF(0)
     if not g.is_zero():
         assert (f / g) * g == f
+
+
+# -- the factored form ----------------------------------------------------------
+
+
+def test_factored_render_and_reduction():
+    # (1 - q^-1) / (1 - q^-1 T) renders to the geometric example
+    f = FRF(0, 0, {(1, 0): 1, (1, 1): -1})
+    assert f.to_ratfun() == geometric_example()
+    assert (f / f) == FRF() and (f / f).factors == {}
+    assert FRF(-1, 2, {(2, 1): 0}) == FRF(-1, 2)
+    assert FRF(-1, 2).to_ratfun() == BRF(T**2, Q)
+    with pytest.raises(ValueError):
+        FRF(0, 0, {(0, 1): 1})
+
+
+factored_forms = st.builds(
+    FRF, st.integers(-3, 3), st.integers(-2, 2),
+    st.dictionaries(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                    st.integers(-2, 2), max_size=3))
+factored_pairs = st.one_of(
+    st.tuples(factored_forms, factored_forms),
+    # equal forms reached along different paths
+    st.tuples(factored_forms, factored_forms).map(
+        lambda p: (p[0], p[0] * p[1] / p[1])))
+
+
+@given(factored_pairs, st.integers(0, 2), st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_factored_form_agrees_with_canonical_form(pair, q_shift, t_power):
+    """Oracle: the same operations on the rendered sympy forms."""
+    a, b = pair
+    ra, rb = a.to_ratfun(), b.to_ratfun()
+    assert (a == b) == (ra == rb)
+    assert (a / b).to_ratfun() == ra / rb
+    assert (a * b).to_ratfun() == ra * rb
+    assert a.substitute_T(q_shift, t_power).to_ratfun() == \
+        ra.substitute_T(q_shift, t_power)

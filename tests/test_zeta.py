@@ -1,9 +1,11 @@
 """Exponent tables, local Igusa factors, homogeneity and scaling checks."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import tworb.zeta as zeta
 from tworb.fields import make_extension
 from tworb.linalg import mat_eq
 from tworb.orbits import JordanType, enumerate_orbits, orbit_dimension, \
@@ -133,7 +135,7 @@ def test_igusa_d0_is_one():
 def test_igusa_d1_formula():
     f = igusa_matrix_factor(1)
     assert f.value == BRF(Q - 1, Q - TVAR)
-    assert f.den_factors == ((1, 1),)
+    assert f.form.factors == {(1, 0): 1, (1, 1): -1}
     # geometric shells: coefficient of T^m is (1 - q^-1) q^-m
     coeffs = f.value.series_expand(3)
     for m, c in enumerate(coeffs):
@@ -194,11 +196,35 @@ def test_local_model_21():
     assert local_zeta_model(T(2, 1)) == BRF(Q**2 * (Q - 1), Q**3 - TVAR)
 
 
+def _sympy_igusa_value(d):
+    value = BRF(1)
+    for a in range(1, d + 1):
+        value = value * ((BRF(1) - BRF.monomial(-a, 0))
+                         / (BRF(1) - BRF.monomial(-a, 1)))
+    return value
+
+
+def test_local_model_matches_sympy_product_n5():
+    # oracle: each factor built and shifted in sympy, then the iterated
+    # sympy product of the rendered factor values
+    for d in range(4):
+        assert igusa_matrix_factor(d).value == _sympy_igusa_value(d), d
+    for n in range(1, 6):
+        for t in enumerate_orbits(n):
+            product = BRF(1)
+            for f in local_zeta_factors(t):
+                _, _, d_j, e, s_coeff = f.provenance
+                assert f.value == \
+                    _sympy_igusa_value(d_j).substitute_T(e, s_coeff), t
+                product = product * f.value
+            assert local_zeta_model(t) == product, t
+
+
 def test_local_factor_provenance():
     factors = local_zeta_factors(T(3, 1))
     assert [f.provenance for f in factors] == \
         [(1, 3, 1, 2, 2), (2, 3, 1, 1, 1)]
-    assert factors[0].den_factors == ((3, 2),)
+    assert factors[0].form.factors == {(1, 0): 1, (3, 2): -1}
 
 
 def test_scaling_exponent_examples():
@@ -232,6 +258,24 @@ def test_scaling_sweep_small():
         for t in enumerate_orbits(n):
             for k in (1, 2, 3):
                 assert scaling_exponent_check(t, k), (t, k)
+
+
+@pytest.mark.parametrize("shift", ["half_dim", "c_exponent", "dim_F_uX"])
+def test_scaling_check_can_fail(monkeypatch, shift):
+    if shift == "dim_F_uX":
+        real_dim = zeta.dim_F_uX
+        monkeypatch.setattr(zeta, "dim_F_uX", lambda t: real_dim(t) + 1)
+    else:
+        real_inv = zeta.orbit_dimension
+
+        def shifted(t):
+            inv = real_inv(t)
+            return dataclasses.replace(inv, **{shift: getattr(inv, shift) + 1})
+
+        monkeypatch.setattr(zeta, "orbit_dimension", shifted)
+    for t in (T(1, 1), T(2), T(2, 1), T(3, 1), T(2, 2)):
+        for k in (1, 2, 3):
+            assert not scaling_exponent_check(t, k), (shift, t, k)
 
 
 def test_scaling_rejects_bad_k():
