@@ -22,8 +22,8 @@ from .parabolic import (AdaptedParabolic, BadComposition, GenericityFailure,
                         adapted_parabolic, flag_fixed_count, induce_orbit,
                         n_x_dim_oracle, rank_criterion, standard_parabolic,
                         verify_porb)
-from .ratfun import (BivariateRationalFunction, DivisionByZero,
-                     FactoredRationalFunction, NonUnitDenominator)
+from .ratfun import (BivariateRationalFunction, FactoredRationalFunction,
+                     NonUnitDenominator)
 from .zeta import (ExponentTable, LocalZetaFactor, delta_matrix,
                    exponent_table, homogeneity_identity_check,
                    igusa_matrix_factor, local_zeta_model,

@@ -56,11 +56,6 @@ def mat_identity(model, n: int) -> Matrix:
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
-def mat_zero(model, n: int) -> Matrix:
-    z = model.zero
-    return tuple(tuple(z for _ in range(n)) for _ in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m = len(a), len(b[0])
     k = len(b)
@@ -83,10 +78,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: ExtElement, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_sigma(model, a: Matrix) -> Matrix:

@@ -9,6 +9,7 @@ E-dimension; the doubling happens here, in one place per formula).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from math import comb
 
@@ -223,25 +224,18 @@ def orbit_census(n: int, model: QuadraticExtensionModel, *,
     if model.kind != "finite":
         raise ValueError("census needs the finite model")
     total = matrix_space_size(model, n)
-    counts: dict[JordanType, int] = {}
+    card = model.element_count()
     if total <= budget:
-        space = itertools.product(range(model.element_count()), repeat=n * n)
-        for y in _iter_matrices(model, n, space):
-            if is_nilpotent(y):
-                t = jordan_type_of(y)
-                counts[t] = counts.get(t, 0) + 1
-        return dict(sorted(counts.items(), key=lambda kv: kv[0].parts,
-                           reverse=True))
-    if sample_size is None:
+        space = itertools.product(range(card), repeat=n * n)
+    elif sample_size is None:
         raise BudgetExceeded(
             f"{total} matrices exceed budget {budget}; pass sample_size "
             "for seeded sampling")
-    import random
-
-    rng = random.Random(seed)
-    card = model.element_count()
-    space = ([rng.randrange(card) for _ in range(n * n)]
-             for _ in range(sample_size))
+    else:
+        rng = random.Random(seed)
+        space = ([rng.randrange(card) for _ in range(n * n)]
+                 for _ in range(sample_size))
+    counts: dict[JordanType, int] = {}
     for y in _iter_matrices(model, n, space):
         if is_nilpotent(y):
             t = jordan_type_of(y)

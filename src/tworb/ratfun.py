@@ -1,204 +1,152 @@
 """Exact rational functions in the two formal variables q and T.
 
-T stands for q^(-s); local zeta factors live here.  The canonical form
-keeps numerator and denominator as coprime integer polynomials with no
-common content and a positive leading denominator coefficient in the
-lexicographic order q > T.  Construction accepts any sympy expression
-that is rational in (q, T), including negative powers of q.
-
-Local factors are built, multiplied, divided and compared in the factored
-form ``FactoredRationalFunction`` and rendered to the canonical form once.
+T stands for q^(-s); local zeta factors live here.  They are built,
+multiplied, divided and compared in the factored form
+``FactoredRationalFunction`` (a monomial times powers of 1 - q^-a T^b) and
+rendered once to the canonical form ``BivariateRationalFunction``: coprime
+integer polynomials num and den, stored as term maps
+{(q_exp, T_exp): int}, with no common content and a positive leading
+denominator coefficient in the lexicographic order q > T.  Only
+``FactoredRationalFunction.to_ratfun`` and ``series_expand`` build the
+canonical form; it is never parsed from an expression.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
-import sympy
-
-Q = sympy.Symbol("q")
-T = sympy.Symbol("T")
-
-
-class DivisionByZero(ZeroDivisionError):
-    pass
+Poly = dict  # {(q_exp, T_exp): nonzero int}
 
 
 class NonUnitDenominator(ValueError):
-    """Series expansion needs a denominator with nonzero constant T-term."""
+    """Series expansion needs a denominator whose constant T-term is +-q^k."""
 
 
-def _normalize(num: sympy.Expr, den: sympy.Expr):
-    if den == 0:
-        raise DivisionByZero("zero denominator")
-    frac = sympy.cancel(sympy.together(sympy.sympify(num) / sympy.sympify(den)))
-    n, d = sympy.fraction(frac)
-    n, d = sympy.expand(n), sympy.expand(d)
-    pn = sympy.Poly(n, Q, T, domain="QQ")
-    pd = sympy.Poly(d, Q, T, domain="QQ")
-    # clear rational content, then strip the shared integer content
-    mult = sympy.lcm([c.q for c in pn.coeffs()] + [c.q for c in pd.coeffs()])
-    pn, pd = pn * mult, pd * mult
-    g = sympy.gcd(sympy.gcd(list(pn.coeffs())), sympy.gcd(list(pd.coeffs())))
-    if g != 0:
-        pn, pd = pn.quo_ground(g), pd.quo_ground(g)
-    if pd.LC() < 0:  # leading coefficient in lex order q > T
-        pn, pd = -pn, -pd
-    return pn.as_expr(), pd.as_expr()
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    out = {}
+    for (qa, ta), ca in a.items():
+        for (qb, tb), cb in b.items():
+            key = (qa + qb, ta + tb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _format(poly: Poly) -> str:
+    """Terms in descending lex order on (T_exp, q_exp) as c*T**a*q**b,
+    joined by + and -: the layout the tworb/1 reports have always used."""
+    if not poly:
+        return "0"
+    out = []
+    for q_exp, t_exp in sorted(poly, key=lambda k: (k[1], k[0]),
+                               reverse=True):
+        c = poly[(q_exp, t_exp)]
+        mono = [f"{v}**{e}" if e > 1 else v
+                for v, e in (("T", t_exp), ("q", q_exp)) if e]
+        if abs(c) != 1 or not mono:
+            mono.insert(0, str(abs(c)))
+        term = "*".join(mono)
+        if out:
+            out.append((" - " if c < 0 else " + ") + term)
+        else:
+            out.append(("-" if c < 0 else "") + term)
+    return "".join(out)
 
 
 class BivariateRationalFunction:
-    """Immutable exact rational function of (q, T)."""
+    """Immutable exact rational function of (q, T) in canonical form.
+
+    ``num`` and ``den`` must be coprime and content-free, with no zero
+    terms; the constructor fixes the sign of the denominator's leading term.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
-        n, d = _normalize(num, den)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+    def __init__(self, num: Poly, den: Poly):
+        if den[max(den)] < 0:  # leading coefficient in lex order q > T
+            num = {key: -c for key, c in num.items()}
+            den = {key: -c for key, c in den.items()}
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("BivariateRationalFunction is immutable")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, m: int) -> "BivariateRationalFunction":
-        return cls(m, 1)
-
-    @classmethod
-    def monomial(cls, q_exp: int, t_exp: int) -> "BivariateRationalFunction":
-        """q^q_exp * T^t_exp; q_exp may be negative."""
-        if t_exp < 0:
-            raise ValueError("negative T exponent not used here")
-        if q_exp >= 0:
-            return cls(Q**q_exp * T**t_exp, 1)
-        return cls(T**t_exp, Q ** (-q_exp))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, BivariateRationalFunction):
-            return other
-        if isinstance(other, int):
-            return BivariateRationalFunction(other, 1)
-        return NotImplemented
-
-    def add(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return BivariateRationalFunction(
-            self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def mul(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return BivariateRationalFunction(self.num * o.num, self.den * o.den)
-
-    def div(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.num == 0:
-            raise DivisionByZero("division by the zero rational function")
-        return BivariateRationalFunction(self.num * o.den, self.den * o.num)
-
-    def sub(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return BivariateRationalFunction(
-            self.num * o.den - o.num * self.den, self.den * o.den)
-
-    __add__ = add
-    __radd__ = add
-    __mul__ = mul
-    __rmul__ = mul
-    __sub__ = sub
-    __truediv__ = div
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o.sub(self)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o.div(self)
-
-    def __neg__(self):
-        return BivariateRationalFunction(-self.num, self.den)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return BivariateRationalFunction(self.den**-k, self.num**-k)
-        return BivariateRationalFunction(self.num**k, self.den**k)
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, BivariateRationalFunction):
             return NotImplemented
-        return sympy.expand(self.num * o.den - o.num * self.den) == 0
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def is_one(self) -> bool:
-        return sympy.expand(self.num - self.den) == 0
-
     def __repr__(self):
-        return f"({self.num})/({self.den})"
-
-    # -- substitution, series, evaluation -------------------------------------
-
-    def substitute_T(self, q_shift: int, t_power: int) -> "BivariateRationalFunction":
-        """Replace T by q^(-q_shift) * T^t_power; injective on factors."""
-        repl = Q ** (-q_shift) * T**t_power
-        return BivariateRationalFunction(self.num.subs(T, repl),
-                                         self.den.subs(T, repl))
+        return f"({_format(self.num)})/({_format(self.den)})"
 
     def series_expand(self, order: int) -> list["BivariateRationalFunction"]:
-        """Coefficients of T^0..T^order; each is a rational function of q alone."""
-        pn = sympy.Poly(self.num, T)
-        pd = sympy.Poly(self.den, T)
-        d = {k: c for (k,), c in pd.terms()}
-        n = {k: c for (k,), c in pn.terms()}
-        d0 = d.get(0, sympy.Integer(0))
-        if d0 == 0:
-            raise NonUnitDenominator(
-                "denominator has zero constant term in T")
-        coeffs = []
-        for m in range(order + 1):
-            acc = n.get(m, sympy.Integer(0))
-            for i in range(1, m + 1):
-                di = d.get(i)
-                if di is not None:
-                    acc = acc - di * coeffs[m - i]._q_expr()
-            coeffs.append(BivariateRationalFunction(acc, d0))
-        return coeffs
+        """Coefficients of T^0..T^order; each is a Laurent polynomial in q.
 
-    def _q_expr(self) -> sympy.Expr:
-        return self.num / self.den
+        With n_m, d_i the T^m, T^i coefficients of num and den,
+        c_m = (n_m - sum_i d_i c_{m-i}) / d_0, exact because d_0 = +-q^k.
+        """
+        d0 = [(q_exp, c) for (q_exp, t_exp), c in self.den.items()
+              if t_exp == 0]
+        if len(d0) != 1 or abs(d0[0][1]) != 1:
+            raise NonUnitDenominator(
+                "constant T-term of the denominator is not +-q^k")
+        (k, unit), = d0
+        n_at, d_at = {}, {}
+        for poly, at in ((self.num, n_at), (self.den, d_at)):
+            for (q_exp, t_exp), c in poly.items():
+                at.setdefault(t_exp, {})[q_exp] = c
+        coeffs = []  # Laurent polynomials {q_exp: c}
+        for m in range(order + 1):
+            acc = dict(n_at.get(m, {}))
+            for i in range(1, m + 1):
+                for qa, ca in d_at.get(i, {}).items():
+                    for qb, cb in coeffs[m - i].items():
+                        acc[qa + qb] = acc.get(qa + qb, 0) - ca * cb
+            coeffs.append({q_exp - k: unit * c
+                           for q_exp, c in acc.items() if c})
+        out = []
+        for c in coeffs:
+            shift = max(0, -min(c, default=0))
+            out.append(BivariateRationalFunction(
+                {(q_exp + shift, 0): v for q_exp, v in c.items()},
+                {(shift, 0): 1}))
+        return out
 
     def evaluate(self, q0, t0=None) -> Fraction:
         """Exact value at rational q0 (and T0 if T occurs)."""
-        subs = {Q: sympy.Rational(Fraction(q0))}
-        if t0 is not None:
-            subs[T] = sympy.Rational(Fraction(t0))
-        dval = self.den.subs(subs)
-        if dval == 0:
-            raise DivisionByZero("denominator vanishes at the sample point")
-        val = sympy.Rational(self.num.subs(subs), dval)
-        return Fraction(int(val.p), int(val.q))
+        q0, t0 = Fraction(q0), None if t0 is None else Fraction(t0)
+
+        def at(poly: Poly):
+            return sum(c * q0**q_exp * (t0**t_exp if t_exp else 1)
+                       for (q_exp, t_exp), c in poly.items())
+
+        return Fraction(at(self.num)) / at(self.den)
 
     def to_json(self) -> dict:
-        return {"num": str(self.num), "den": str(self.den)}
+        return {"num": _format(self.num), "den": _format(self.den)}
 
 
-ONE = BivariateRationalFunction(1, 1)
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d(x), lowest degree first: x^d - 1 divided exactly by the monic
+    Phi_k(x), k | d, k < d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d):
+        if d % k:
+            continue
+        div = _cyclotomic(k)
+        deg = len(div) - 1
+        quot = [0] * (len(poly) - deg)
+        for i in reversed(range(len(quot))):
+            quot[i] = c = poly[i + deg]
+            for j, dj in enumerate(div):
+                poly[i + j] -= c * dj
+        poly = quot
+    return tuple(poly)
 
 
 class FactoredRationalFunction:
@@ -210,7 +158,7 @@ class FactoredRationalFunction:
     they are unitriangular in the cyclotomic factors Phi_d(u), and
     distinct primitive monomials give coprime Phi_d(u).  So this form is
     unique: products and quotients add and subtract exponents, and
-    equality compares forms, exactly and without sympy.
+    equality compares forms, exactly.
     """
 
     __slots__ = ("q_exp", "t_exp", "factors")
@@ -270,16 +218,35 @@ class FactoredRationalFunction:
              for (a, b), m in self.factors.items()})
 
     def to_ratfun(self) -> BivariateRationalFunction:
-        """The canonical num/den form, through one normalization."""
-        num = den = sympy.Integer(1)
-        q_exp = self.q_exp
+        """The canonical num/den form.
+
+        With g = gcd(a, b) and u = q^-(a/g) T^(b/g), each factor
+        1 - q^-a T^b = 1 - u^g splits into the Phi_d(u), d | g.  Distinct
+        (u, d) give coprime polynomials, so cancelling exponents per (u, d)
+        and expanding leaves num and den coprime.
+        """
+        pieces = {}
         for (a, b), m in self.factors.items():
-            # 1 - q^-a T^b = (q^a - T^b) / q^a
-            q_exp -= a * m
-            if m > 0:
-                num *= (Q**a - T**b) ** m
-            else:
-                den *= (Q**a - T**b) ** -m
-        num *= Q ** max(q_exp, 0) * T ** max(self.t_exp, 0)
-        den *= Q ** max(-q_exp, 0) * T ** max(-self.t_exp, 0)
+            g = gcd(a, b)
+            for d in range(1, g + 1):
+                if g % d == 0:
+                    key = (a // g, b // g, d)
+                    pieces[key] = pieces.get(key, 0) + m
+        num, den = {(0, 0): 1}, {(0, 0): 1}
+        q_exp = self.q_exp
+        for (alpha, beta, d), m in pieces.items():
+            # Phi_1(u) = 1 - u, so that the Phi_d(u), d | g, give 1 - u^g
+            coeffs = (1, -1) if d == 1 else _cyclotomic(d)
+            deg = len(coeffs) - 1
+            # q^(alpha deg) Phi_d(u) is a polynomial
+            poly = {(alpha * (deg - i), beta * i): c
+                    for i, c in enumerate(coeffs) if c}
+            q_exp -= alpha * deg * m
+            for _ in range(abs(m)):
+                if m > 0:
+                    num = _poly_mul(num, poly)
+                else:
+                    den = _poly_mul(den, poly)
+        num = _poly_mul(num, {(max(q_exp, 0), max(self.t_exp, 0)): 1})
+        den = _poly_mul(den, {(max(-q_exp, 0), max(-self.t_exp, 0)): 1})
         return BivariateRationalFunction(num, den)

@@ -178,12 +178,12 @@ def test_criterion_9_scaling_exponent():
     # at s = 0 (T = 1) the factor specializes to |t|^(dim O / 2)
     from fractions import Fraction
 
-    from tworb.ratfun import BivariateRationalFunction
+    from tworb.ratfun import FactoredRationalFunction
 
     for t in (JordanType((2,)), JordanType((3, 1))):
         inv = orbit_dimension(t)
-        factor = BivariateRationalFunction.monomial(-inv.half_dim,
-                                                    inv.c_exponent)
+        factor = FactoredRationalFunction(-inv.half_dim,
+                                          inv.c_exponent).to_ratfun()
         for q0 in (2, 3):
             assert factor.evaluate(q0, 1) == Fraction(1, q0**inv.half_dim)
         cases += 1

@@ -183,3 +183,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "tworb/1"
+
+
+def test_import_does_not_load_sympy():
+    import os
+    import subprocess
+    import sys
+
+    import tworb
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tworb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tworb; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

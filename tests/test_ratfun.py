@@ -1,13 +1,20 @@
-"""Exact bivariate rational function arithmetic and series expansion."""
+"""The sympy reference oracle, and the factored and canonical forms of
+``tworb.ratfun`` checked against it."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy_ratfun import (ONE, BivariateRationalFunction, DivisionByZero,
+                          NonUnitDenominator, Q, T, render)
 
-from tworb.ratfun import (ONE, BivariateRationalFunction, DivisionByZero,
-                          FactoredRationalFunction, NonUnitDenominator, Q, T)
+from tworb.orbits import enumerate_orbits
+from tworb.ratfun import FactoredRationalFunction
+from tworb.ratfun import NonUnitDenominator as SeriesNeedsUnit
+from tworb.ratfun import _cyclotomic
+from tworb.zeta import local_zeta_factors, local_zeta_model
 
 BRF = BivariateRationalFunction
 FRF = FactoredRationalFunction
@@ -134,10 +141,10 @@ def test_ring_identities(pair):
 def test_factored_render_and_reduction():
     # (1 - q^-1) / (1 - q^-1 T) renders to the geometric example
     f = FRF(0, 0, {(1, 0): 1, (1, 1): -1})
-    assert f.to_ratfun() == geometric_example()
+    assert f.to_ratfun().to_json() == geometric_example().to_json()
     assert (f / f) == FRF() and (f / f).factors == {}
     assert FRF(-1, 2, {(2, 1): 0}) == FRF(-1, 2)
-    assert FRF(-1, 2).to_ratfun() == BRF(T**2, Q)
+    assert FRF(-1, 2).to_ratfun().to_json() == BRF(T**2, Q).to_json()
     with pytest.raises(ValueError):
         FRF(0, 0, {(0, 1): 1})
 
@@ -156,11 +163,92 @@ factored_pairs = st.one_of(
 @given(factored_pairs, st.integers(0, 2), st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_factored_form_agrees_with_canonical_form(pair, q_shift, t_power):
-    """Oracle: the same operations on the rendered sympy forms."""
+    """Oracle: the same operations on the forms rendered through sympy."""
     a, b = pair
-    ra, rb = a.to_ratfun(), b.to_ratfun()
+    ra, rb = render(a), render(b)
     assert (a == b) == (ra == rb)
-    assert (a / b).to_ratfun() == ra / rb
-    assert (a * b).to_ratfun() == ra * rb
-    assert a.substitute_T(q_shift, t_power).to_ratfun() == \
-        ra.substitute_T(q_shift, t_power)
+    assert (a / b).to_ratfun().to_json() == (ra / rb).to_json()
+    assert (a * b).to_ratfun().to_json() == (ra * rb).to_json()
+    assert a.substitute_T(q_shift, t_power).to_ratfun().to_json() == \
+        ra.substitute_T(q_shift, t_power).to_json()
+
+
+def test_cyclotomic_products():
+    # oracle: prod_{d | n} Phi_d(x) = x^n - 1, and Phi_d(1) = p for d = p^k
+    for n in range(1, 31):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = _cyclotomic(d)
+                product = [sum(product[i] * phi[k - i]
+                               for i in range(len(product))
+                               if 0 <= k - i < len(phi))
+                           for k in range(len(product) + len(phi) - 1)]
+        assert product == [-1] + [0] * (n - 1) + [1], n
+    assert [sum(_cyclotomic(d)) for d in (2, 4, 8, 3, 9, 5)] == \
+        [2, 2, 2, 3, 3, 5]
+
+
+@st.composite
+def shared_primitive_forms(draw):
+    """Forms with factors 1 - u^k on both sides for one primitive u."""
+    alpha = draw(st.integers(1, 3))
+    beta = draw(st.sampled_from([b for b in range(4) if gcd(alpha, b) == 1]))
+    ks = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3,
+                       unique=True))
+    ms = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=len(ks),
+                       max_size=len(ks)))
+    factors = {(k * alpha, k * beta): m for k, m in zip(ks, ms)}
+    extra = draw(st.dictionaries(st.tuples(st.integers(1, 4),
+                                           st.integers(0, 3)),
+                                 st.integers(-2, 2), max_size=2))
+    for key, m in extra.items():
+        factors[key] = factors.get(key, 0) + m
+    return FRF(draw(st.integers(-3, 3)), draw(st.integers(-2, 2)), factors)
+
+
+@given(st.one_of(factored_forms, shared_primitive_forms()))
+@example(FRF(0, 0, {(2, 2): 1, (1, 1): -1}))   # (1 - u^2) / (1 - u)
+@example(FRF(0, 0, {(6, 0): -1, (2, 0): 1}))   # Phi_3 Phi_6 of q^-1 left
+@example(FRF(0, 1, {(1, 1): 1}))               # a lone Phi_1 keeps its sign
+@settings(max_examples=150, deadline=None)
+def test_render_matches_sympy_cancel(form):
+    """Cancelling per (u, d) and expanding equals sympy's cancel, byte for
+    byte in the printed form."""
+    assert form.to_ratfun().to_json() == render(form).to_json()
+
+
+def _catalog_forms(n_max):
+    for n in range(1, n_max + 1):
+        for t in enumerate_orbits(n):
+            form = FRF()
+            for f in local_zeta_factors(t):
+                form = form * f.form
+            yield t, form
+
+
+def test_series_and_values_match_oracle_n6():
+    """series_expand(5) and evaluate against sympy for every type n <= 6."""
+    for t, form in _catalog_forms(6):
+        got, want = local_zeta_model(t), render(form)
+        assert got.to_json() == want.to_json(), t
+        got_series, want_series = got.series_expand(5), want.series_expand(5)
+        assert [c.to_json() for c in got_series] == \
+            [c.to_json() for c in want_series], t
+        for q0, t0 in ((2, Fraction(1, 3)), (Fraction(5, 2), -1), (7, 2)):
+            assert got.evaluate(q0, t0) == want.evaluate(q0, t0), (t, q0)
+        for p in (2, 3, 5):
+            assert [c.evaluate(p) for c in got_series] == \
+                [c.evaluate(p) for c in want_series], (t, p)
+
+
+def test_series_needs_unit_constant_term():
+    with pytest.raises(SeriesNeedsUnit):  # T^-1: no constant T-term
+        FRF(0, -1, {(1, 1): 1}).to_ratfun().series_expand(2)
+    with pytest.raises(SeriesNeedsUnit):  # den q - 1 is not +-q^k
+        FRF(0, 0, {(1, 0): -1}).to_ratfun().series_expand(2)
+    # T^2 / q expands with zero leading coefficients
+    series = FRF(-1, 2).to_ratfun().series_expand(3)
+    assert [c.to_json() for c in series] == [
+        {"num": "0", "den": "1"}, {"num": "0", "den": "1"},
+        {"num": "1", "den": "q"}, {"num": "0", "den": "1"}]
