@@ -57,16 +57,26 @@ def mat_identity(model, n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    k = len(b)
+    """a * b, skipping the zero entries of each row of a.
+
+    A row's nonzero entries are collected once; each output entry is the
+    first of their products plus the others, so a dense a still costs
+    n^3 E-multiplications and n^2 (n-1) E-additions.  An all-zero row of
+    a yields a row of its own zero entries.
+    """
+    m = len(b[0])
     out = []
-    for i in range(n):
-        ai = a[i]
+    for ai in a:
+        terms = [(x, b[t]) for t, x in enumerate(ai) if x]
+        if not terms:
+            out.append((ai[0],) * m)
+            continue
+        (x0, b0), rest = terms[0], terms[1:]
         row = []
         for j in range(m):
-            acc = ai[0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + ai[t] * b[t][j]
+            acc = x0 * b0[j]
+            for x, bt in rest:
+                acc = acc + x * bt[j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -94,7 +104,13 @@ def mat_is_zero(a: Matrix) -> bool:
 
 
 def mat_rank(a: Matrix) -> int:
-    """Rank over E, by Gaussian elimination in exact field arithmetic."""
+    """Rank over E, by division-free elimination.
+
+    Each row below the pivot becomes piv * row - f * pivot_row, so no
+    inverse is taken; over the domain Z[sqrt(tau)] the entries stay ints,
+    and its rank equals the rank over the fraction field E.  Entries left
+    of the pivot column are never read again and are not updated.
+    """
     rows = [list(r) for r in a]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -108,12 +124,14 @@ def mat_rank(a: Matrix) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
+        pval = rows[rank][col]
+        tail = rows[rank][col + 1:]
         for i in range(rank + 1, nrows):
-            f = rows[i][col]
+            ri = rows[i]
+            f = ri[col]
             if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                ri[col + 1:] = [pval * x - f * y
+                                for x, y in zip(ri[col + 1:], tail)]
         rank += 1
         if rank == nrows:
             break
@@ -206,13 +224,17 @@ def is_nilpotent(y: TwistedEndo) -> bool:
 # exact rank / kernel over the base field
 
 
-def _rank_bareiss_int(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
+def _rank_int(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination.
+
+    Only rows with a nonzero entry in the pivot column change: each becomes
+    piv * row - f * pivot_row, divided by the gcd of its entries, which
+    divides every entry exactly and keeps them small.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
-    prev = 1
     for col in range(ncols):
         piv = None
         for i in range(rank, nrows):
@@ -223,15 +245,14 @@ def _rank_bareiss_int(rows: list[list[int]]) -> int:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pval = m[rank][col]
-        # Bareiss update applies to every remaining row, including rows with
-        # a zero entry in the pivot column (division by prev stays exact).
+        tail = m[rank][col + 1:]
         for i in range(rank + 1, nrows):
-            mic = m[i][col]
-            ri, rr = m[i], m[rank]
-            for j in range(col + 1, ncols):
-                ri[j] = (pval * ri[j] - mic * rr[j]) // prev
-            ri[col] = 0
-        prev = pval
+            ri = m[i]
+            f = ri[col]
+            if f:
+                new = [pval * x - f * y for x, y in zip(ri[col + 1:], tail)]
+                g = math.gcd(*new)
+                ri[col + 1:] = [x // g for x in new] if g > 1 else new
         rank += 1
         if rank == nrows:
             break
@@ -300,7 +321,7 @@ class FLinearSystem:
         if not rows or not rows[0]:
             return 0
         if self.char == 0:
-            return _rank_bareiss_int(_scale_rows_to_int(rows))
+            return _rank_int(_scale_rows_to_int(rows))
         return _rank_modp(rows, self.char)
 
     def rank_F(self) -> int:

@@ -217,7 +217,8 @@ def orbit_census(n: int, model: QuadraticExtensionModel, *,
 
     Exhaustive when the matrix count fits the budget; otherwise a seeded
     sample of ``sample_size`` matrices must be requested explicitly.
-    Nilpotency is tested as twisted_power(Y, n) = 0.  Buckets are plain
+    Each matrix is classified by one jordan_type_of call, which raises
+    NotNilpotent unless twisted_power(Y, n) = 0.  Buckets are plain
     counts keyed by type, so partial enumerations over index ranges merge
     associatively; the returned dict is in canonical type order.
     """
@@ -237,9 +238,11 @@ def orbit_census(n: int, model: QuadraticExtensionModel, *,
                  for _ in range(sample_size))
     counts: dict[JordanType, int] = {}
     for y in _iter_matrices(model, n, space):
-        if is_nilpotent(y):
+        try:
             t = jordan_type_of(y)
-            counts[t] = counts.get(t, 0) + 1
+        except NotNilpotent:
+            continue
+        counts[t] = counts.get(t, 0) + 1
     return dict(sorted(counts.items(), key=lambda kv: kv[0].parts,
                        reverse=True))
 

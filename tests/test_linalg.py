@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from tworb.fields import make_extension
 from tworb.linalg import (FLinearSystem, SingularMatrix, TwistedEndo,
-                          _rank_bareiss_int, bracket_system, flatten_map,
-                          is_nilpotent, mat_eq, mat_identity, mat_inv,
-                          mat_mul, mat_rank, mat_sigma, sigma_conjugate,
-                          twisted_bracket, twisted_power)
+                          _rank_int, bracket_system, flatten_map,
+                          is_nilpotent, mat_eq, mat_from_rows, mat_identity,
+                          mat_inv, mat_mul, mat_rank, mat_sigma,
+                          sigma_conjugate, twisted_bracket, twisted_power)
 from tworb.orbits import JordanType, jordan_type_of, standard_representative
 
 RAT = make_extension({"kind": "rational", "tau": 2})
@@ -252,7 +252,7 @@ def test_bareiss_rank_matches_fraction_gauss(seed):
     if rng.random() < 0.5 and nr > 1:  # force rank deficiency sometimes
         k = rng.randrange(1, nr)
         rows[k] = [2 * x for x in rows[0]]
-    assert _rank_bareiss_int([r[:] for r in rows]) == \
+    assert _rank_int([r[:] for r in rows]) == \
         _rank_fraction_gauss(rows)
 
 
@@ -284,7 +284,7 @@ def int_matrices(draw):
 @example([[2, 4, 1], [0, 0, 3], [1, 2, 5], [3, 6, 0]])
 @settings(max_examples=200, deadline=None)
 def test_bareiss_rank_matches_fraction_gauss_on_drawn_matrices(rows):
-    assert _rank_bareiss_int([r[:] for r in rows]) == \
+    assert _rank_int([r[:] for r in rows]) == \
         _rank_fraction_gauss(rows)
 
 
@@ -294,13 +294,13 @@ def test_integral_fraction_rows_reach_bareiss_as_ints(monkeypatch):
     import tworb.linalg as linalg
 
     seen = []
-    real = linalg._rank_bareiss_int
+    real = linalg._rank_int
 
     def spy(rows):
         seen.extend(x for r in rows for x in r)
         return real(rows)
 
-    monkeypatch.setattr(linalg, "_rank_bareiss_int", spy)
+    monkeypatch.setattr(linalg, "_rank_int", spy)
     ints = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
     fracs = [[Fraction(x) for x in r] for r in ints]
     assert FLinearSystem.from_prime_rows(fracs, char=0).rank_F() == 2
@@ -328,3 +328,143 @@ def test_bracket_is_F_linear_in_Z(a, b, seed):
     rhs = tuple(tuple(av * x + bv * y for x, y in zip(r1, r2))
                 for r1, r2 in zip(b1, b2))
     assert mat_eq(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels against plain reference versions
+
+
+def _mat_mul_naive(model, a, b):
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), model.zero)
+              for j in range(len(b[0])))
+        for i in range(len(a)))
+
+
+def _rank_by_inverses(a):
+    """Gaussian elimination that scales each pivot row by its inverse."""
+    rows = [list(r) for r in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _elements(model):
+    """Mostly zero entries; small integral and fractional ones over Q."""
+    if model is RAT:
+        coord = st.one_of(st.integers(-4, 4),
+                          st.fractions(-2, 2, max_denominator=3))
+        nonzero = st.builds(RAT.el, coord, coord)
+    else:
+        nonzero = st.integers(0, model.element_count() - 1).map(
+            model.element_from_index)
+    return st.one_of(st.just(model.zero), st.just(model.zero), nonzero)
+
+
+@st.composite
+def e_matrices(draw, model, nrows, ncols):
+    """Matrices over E with zero rows and rows that are E-combinations of
+    earlier rows."""
+    el = _elements(model)
+    rows = [draw(st.lists(el, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for k in range(nrows):
+        kind = draw(st.sampled_from(["drawn", "zero", "combination"]))
+        if kind == "zero":
+            rows[k] = [model.zero] * ncols
+        elif kind == "combination" and k:
+            c1, c2 = draw(el), draw(el)
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+    return tuple(tuple(r) for r in draw(st.permutations(rows)))
+
+
+@st.composite
+def mat_mul_operands(draw):
+    model = draw(st.sampled_from([RAT, F9]))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    a = draw(e_matrices(model, n, k))
+    if draw(st.integers(0, 5)) == 0:
+        a = tuple((model.zero,) * k for _ in range(n))
+    return model, a, draw(e_matrices(model, k, m))
+
+
+@given(mat_mul_operands())
+# 3 x 2 with two zero rows times 2 x 3; a zero left factor; 1 x 2 times 2 x 1
+@example((RAT, mat_from_rows(RAT, [[0, 0], [1, (0, 1)], [0, 0]]),
+          mat_from_rows(RAT, [[1, 0, (0, 1)], [(0, 1), 1, 0]])))
+@example((F9, mat_from_rows(F9, [[0, 0, 0]]),
+          mat_from_rows(F9, [[1, 2, 0], [0, 1, 1], [2, 2, 2]])))
+@example((RAT, mat_from_rows(RAT, [[1, (0, 1)]]),
+          mat_from_rows(RAT, [[(0, 1)], [1]])))
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_matches_triple_loop(operands):
+    model, a, b = operands
+    got = mat_mul(a, b)
+    assert [len(r) for r in got] == [len(b[0])] * len(a)
+    assert mat_eq(got, _mat_mul_naive(model, a, b))
+
+
+@st.composite
+def rank_operands(draw):
+    model = draw(st.sampled_from([RAT, F9]))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(e_matrices(model, nrows, ncols))
+
+
+@given(rank_operands())
+# the first row is zero in the first pivot column: the pivot row moves up
+@example(mat_from_rows(RAT, [[0, 0, 1], [1, 0, 0], [1, 1, 0]]))
+@example(mat_from_rows(F9, [[0, 1, 1], [0, 0, 0], [2, 1, 0], [2, 2, 1]]))
+@settings(max_examples=240, deadline=None)
+def test_mat_rank_matches_inverse_elimination(a):
+    assert mat_rank(a) == _rank_by_inverses(a)
+
+
+def test_mat_rank_takes_no_inverse(monkeypatch):
+    import tworb.fields as fields
+
+    a = tuple(tuple(RAT.el(3 * i + j, i - 2 * j) for j in range(4))
+              for i in range(4)) + ((RAT.el(1, 1),) * 4,)
+    want = _rank_by_inverses(a)
+
+    def no_inverse(self):
+        raise AssertionError("mat_rank took an inverse")
+
+    monkeypatch.setattr(fields.ExtElement, "inverse", no_inverse)
+    assert mat_rank(a) == want
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Mostly zero integer matrices up to 8 x 8, with rows that are
+    integer combinations of earlier rows."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0),
+                      st.integers(-40, 40))
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc))
+            for _ in range(nr)]
+    for k in range(1, nr):
+        if draw(st.booleans()):
+            c1, c2 = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+@given(sparse_int_matrices())
+@example([[0, 6, 0], [0, 4, 2], [0, 0, 0], [0, 2, 1]])
+@settings(max_examples=300, deadline=None)
+def test_rank_int_matches_fraction_gauss_on_sparse_matrices(rows):
+    assert _rank_int([r[:] for r in rows]) == _rank_fraction_gauss(rows)

@@ -205,3 +205,19 @@ def test_census_budget_and_sampling():
     assert set(sampled) <= {T(2), T(1, 1)}
     again = orbit_census(2, F9, budget=10, sample_size=300, seed=3)
     assert sampled == again  # seeded determinism
+
+
+def test_census_tests_each_matrix_for_nilpotence_once(monkeypatch):
+    import tworb.orbits as orbits
+
+    calls = []
+    real = orbits.is_nilpotent
+
+    def spy(y):
+        calls.append(y)
+        return real(y)
+
+    monkeypatch.setattr(orbits, "is_nilpotent", spy)
+    counts = orbit_census(2, F4)
+    assert counts == {T(2): 15, T(1, 1): 1}
+    assert len(calls) == 4 ** 4

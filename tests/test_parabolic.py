@@ -255,6 +255,21 @@ def test_verify_porb_21():
     assert payload["certified_trials"] == report.certified_trials
 
 
+def test_verify_porb_fails_on_a_constant_wrong_type(monkeypatch):
+    # a classifier that answers one wrong type every time keeps
+    # constant_type true; the orbit-dimension identity must catch it
+    import tworb.parabolic as parabolic
+
+    shape = standard_parabolic((2, 1))
+    good = verify_porb(shape, zero_types((2, 1)), RAT, trials=10, seed=3)
+    assert good.ok and good.tangent_dim_checks == good.certified_trials > 0
+    monkeypatch.setattr(parabolic, "jordan_type_of", lambda y: T(1, 1, 1))
+    bad = verify_porb(shape, zero_types((2, 1)), RAT, trials=10, seed=3)
+    assert bad.constant_type and bad.certified_trials == good.certified_trials
+    assert bad.tangent_dim_checks == 0
+    assert not bad.ok
+
+
 def test_genericity_failure_surfaces():
     shape = standard_parabolic((1, 1))
     # with zero trials allowed nothing can certify
