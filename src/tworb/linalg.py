@@ -227,11 +227,12 @@ def is_nilpotent(y: TwistedEndo) -> bool:
 def _rank_int(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix, by fraction-free elimination.
 
-    Only rows with a nonzero entry in the pivot column change: each becomes
+    Eliminates in place, so ``rows`` is consumed.  Only rows with a
+    nonzero entry in the pivot column change: each becomes
     piv * row - f * pivot_row, divided by the gcd of its entries, which
     divides every entry exactly and keeps them small.
     """
-    m = [list(r) for r in rows]
+    m = rows
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
@@ -304,10 +305,11 @@ class FLinearSystem:
     """An F-linear map, flattened to a matrix over the prime field.
 
     ``rows`` are the matrix rows of prime-field scalars: over Q each entry
-    is an int or a Fraction (rows of ints go to fraction-free elimination
-    unchanged, other rows are scaled to ints first); over F_p each is an
-    int.  Stated dimensions are F-dimensions; for the finite model they
-    equal prime-field dimensions divided by subfield_degree.
+    is an int or a Fraction, over F_p each is an int.  The rank is taken
+    on the transpose without its all-zero rows; over Q a transposed row of
+    ints goes to fraction-free elimination as it is, any other is scaled
+    to ints first.  Stated dimensions are F-dimensions; for the finite
+    model they equal prime-field dimensions divided by subfield_degree.
     """
 
     rows: tuple
@@ -317,8 +319,11 @@ class FLinearSystem:
     subfield_degree: int = 1
 
     def _prime_rank(self) -> int:
-        rows = [list(r) for r in self.rows]
-        if not rows or not rows[0]:
+        # rank is invariant under transposing and under dropping zero rows;
+        # a codomain coordinate that no image reaches (outside p, for the
+        # bracket on p) is a zero row of the transpose
+        rows = [list(c) for c in zip(*self.rows) if any(c)]
+        if not rows:
             return 0
         if self.char == 0:
             return _rank_int(_scale_rows_to_int(rows))
@@ -334,69 +339,23 @@ class FLinearSystem:
     def kernel_dim_F(self) -> int:
         return self.domain_dim_F - self.rank_F()
 
-    @classmethod
-    def from_prime_rows(cls, rows, *, char: int, subfield_degree: int = 1,
-                        domain_dim_F: int | None = None,
-                        codomain_dim_F: int | None = None) -> "FLinearSystem":
-        rows = tuple(tuple(r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
-        e = subfield_degree
-        dom = domain_dim_F if domain_dim_F is not None else ncols // e
-        cod = codomain_dim_F if codomain_dim_F is not None else len(rows) // e
-        return cls(rows, dom, cod, char, e)
-
 
 # ---------------------------------------------------------------------------
 # flattening maps on matrix subspaces
 
 
-def unit_matrix(model, n: int, pos, scalar: ExtElement) -> Matrix:
-    a, b = pos
-    z = model.zero
-    return tuple(
-        tuple(scalar if (i == a and j == b) else z for j in range(n))
-        for i in range(n))
-
-
-def flatten_map(model, n: int, domain_positions, fn,
-                codomain_positions=None) -> FLinearSystem:
-    """Flatten the F-linear map ``fn`` on the span of matrix positions.
-
-    Domain basis: scalar * E_{ab} for each position and each prime-basis
-    scalar.  Columns of the system are prime coordinates of fn(basis).
-    """
-    domain_positions = list(domain_positions)
-    if codomain_positions is None:
-        codomain_positions = [(i, j) for i in range(n) for j in range(n)]
-    basis = model.prime_basis()
-    per = model.prime_dim_per_e_dim
-    cols = []
-    for pos in domain_positions:
-        for mono in basis:
-            img = fn(unit_matrix(model, n, pos, mono))
-            col = []
-            for (i, j) in codomain_positions:
-                col.extend(model.prime_coords(img[i][j]))
-            cols.append(col)
-    e = model.subfield_degree
-    char = 0 if model.kind == "rational" else model.p
-    # orientation is irrelevant for rank; store basis vectors as rows
-    return FLinearSystem(
-        rows=tuple(tuple(c) for c in cols),
-        domain_dim_F=len(domain_positions) * per // e,
-        codomain_dim_F=len(codomain_positions) * per // e,
-        char=char,
-        subfield_degree=e,
-    )
-
-
 def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
     """The flattened map Z -> Z*Y - Y*sigma(Z) on a span of positions.
 
-    Columns are built from the closed form of the bracket on an elementary
-    matrix c*E_ab: row a receives c * (row b of Y) and column b loses
-    sigma(c) * (column a of Y).  This agrees entry for entry with running
-    the generic flattener over twisted_bracket (tested), just faster.
+    Domain basis: c * E_ab for each position (a, b) and each prime-basis
+    scalar c; each basis vector gives one row, the prime coordinates of
+    its image.  On c * E_ab the bracket is closed form: row a receives
+    c * (row b of Y) and column b receives -sigma(c) * (column a of Y).
+    Both products are taken once per nonzero entry of Y and per c, and
+    every row copies their coordinates; the one entry that can receive
+    both terms, (a, b) when Y[b][b] and Y[a][a] are nonzero, is summed in
+    E first.  The rows agree entry for entry with running the generic
+    flattener over twisted_bracket (tested).
     """
     model, n = y.model, y.n
     if domain_positions is None:
@@ -404,34 +363,41 @@ def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
     else:
         domain_positions = list(domain_positions)
     basis = model.prime_basis()
+    neg_sigma_basis = [-model.sigma(c) for c in basis]
+    coords = model.prime_coords
     per = model.prime_dim_per_e_dim
     w = y.mat
-    zero_e = model.zero
-    cols = []
+    # row_terms[b]: (j, coordinates of c * Y[b][j] per c), Y[b][j] != 0;
+    # col_terms[a]: (i, coordinates of -sigma(c) * Y[i][a] per c)
+    row_terms = [[] for _ in range(n)]
+    col_terms = [[] for _ in range(n)]
+    for r in range(n):
+        for s in range(n):
+            v = w[r][s]
+            if v:
+                row_terms[r].append((s, [coords(c * v) for c in basis]))
+                col_terms[s].append(
+                    (r, [coords(c * v) for c in neg_sigma_basis]))
+    width = n * n * per
+    rows = []
     for (a, b) in domain_positions:
-        for mono in basis:
-            smono = model.sigma(mono)
-            entries = {}
-            for j in range(n):
-                v = mono * w[b][j]
-                if v:
-                    entries[(a, j)] = v
-            for i in range(n):
-                v = smono * w[i][a]
-                if v:
-                    entries[(i, b)] = entries.get((i, b), zero_e) - v
-            col = [0] * (n * n * per)
-            for (i, j), v in entries.items():
-                base = (i * n + j) * per
-                for t, cv in enumerate(model.prime_coords(v)):
-                    col[base + t] = cv
-            cols.append(col)
+        terms = [((a * n + j) * per, cs) for j, cs in row_terms[b]]
+        terms += [((i * n + b) * per, cs) for i, cs in col_terms[a]]
+        if w[a][a] and w[b][b]:
+            both = (a * n + b) * per
+            terms = [(base, cs) for base, cs in terms if base != both]
+            terms.append((both, [coords(c * w[b][b] + d * w[a][a])
+                                 for c, d in zip(basis, neg_sigma_basis)]))
+        for t in range(per):
+            row = [0] * width
+            for base, cs in terms:
+                row[base:base + per] = cs[t]
+            rows.append(tuple(row))
     e = model.subfield_degree
-    char = 0 if model.kind == "rational" else model.p
     return FLinearSystem(
-        rows=tuple(tuple(c) for c in cols),
+        rows=tuple(rows),
         domain_dim_F=len(domain_positions) * per // e,
         codomain_dim_F=n * n * per // e,
-        char=char,
+        char=0 if model.kind == "rational" else model.p,
         subfield_degree=e,
     )

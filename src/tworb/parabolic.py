@@ -19,8 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .fields import QuadraticExtensionModel
-from .linalg import (TwistedEndo, bracket_system, mat_add, mat_rank,
-                     mat_sigma)
+from .linalg import TwistedEndo, bracket_system, mat_add, mat_rank
 from .orbits import (JordanType, jordan_type_of, orbit_dimension,
                      standard_representative)
 
@@ -160,27 +159,6 @@ def adapted_parabolic(t: JordanType) -> AdaptedParabolic:
                             frozenset(n_mask), frozenset(u_mask))
 
 
-def embed_m_x(ad: AdaptedParabolic, model: QuadraticExtensionModel,
-              blocks: dict):
-    """Embed (g_j)_j into M along the twisted diagonal.
-
-    blocks maps j to a d_j x d_j matrix over E; group (i, j) receives
-    sigma^(j-i)(g_j), which is what commuting with the representative
-    through the identifications by its powers demands.
-    """
-    n = ad.jordan_type.n
-    z = model.zero
-    rows = [[z] * n for _ in range(n)]
-    for (i, j, off, size) in ad.groups:
-        g = blocks[j]
-        for _ in range(j - i):
-            g = mat_sigma(model, g)
-        for a in range(size):
-            for b in range(size):
-                rows[off + a][off + b] = g[a][b]
-    return tuple(tuple(r) for r in rows)
-
-
 def n_x_dim_oracle(t: JordanType, model: QuadraticExtensionModel) -> int:
     """F-dimension of the centralizer of the representative inside n."""
     ad = adapted_parabolic(t)
@@ -207,14 +185,24 @@ def m_orbit_tangent_dim(shape: ParabolicShape, x: TwistedEndo) -> int:
     return bracket_system(x, sorted(shape.m_mask)).rank_F()
 
 
+def _expected_rank(shape: ParabolicShape, x: TwistedEndo) -> int:
+    """dim_F ([m_P, X] + s_N), the rank a generic X + Y must reach."""
+    _check_support(x, shape.m_mask, "X")
+    return m_orbit_tangent_dim(shape, x) + shape.dim_F_sN
+
+
+def _sample_rank(shape: ParabolicShape, w: TwistedEndo) -> int:
+    """dim_F [p, W] for a sample W = X + Y."""
+    return bracket_system(w, sorted(shape.p_mask)).rank_F()
+
+
 def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
                    y: TwistedEndo) -> bool:
     """Tangent-space equality [p, X+Y] = [m_P, X] + s_N, by exact ranks."""
-    _check_support(x, shape.m_mask, "X")
+    expected = _expected_rank(shape, x)
     _check_support(y, shape.n_mask, "Y")
-    d_orbit = m_orbit_tangent_dim(shape, x) + shape.dim_F_sN
     w = TwistedEndo(x.model, x.n, mat_add(x.mat, y.mat))
-    return bracket_system(w, sorted(shape.p_mask)).rank_F() == d_orbit
+    return _sample_rank(shape, w) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +259,22 @@ def induce_orbit_report(shape: ParabolicShape, m_types,
     """Like :func:`induce_orbit` but keeps the trial statistics."""
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
+    expected = _expected_rank(shape, x)
     rng = random.Random(seed)
-    rejected = 0
+    ranks = []
     for trial in range(1, max_trials + 1):
         y = sample_s_n(shape, model, rng)
-        if rank_criterion(shape, x, y):
-            w = TwistedEndo(model, shape.n, mat_add(x.mat, y.mat))
+        _check_support(y, shape.n_mask, "Y")
+        w = TwistedEndo(model, shape.n, mat_add(x.mat, y.mat))
+        rank = _sample_rank(shape, w)
+        if rank == expected:
             return InductionReport(shape.composition, m_types,
-                                   jordan_type_of(w), trial, rejected)
-        rejected += 1
+                                   jordan_type_of(w), trial, len(ranks))
+        ranks.append(rank)
     raise GenericityFailure(
-        f"no certified sample in {max_trials} trials for {shape.composition}")
+        f"no certified sample in {max_trials} trials for {shape.composition}:"
+        f" expected rank {expected} (dim_F [m, X] + dim_F s_N), the trials"
+        f" got ranks {ranks}")
 
 
 def induce_orbit(shape: ParabolicShape, m_types,
@@ -339,14 +332,13 @@ def verify_porb(shape: ParabolicShape, m_types,
     x = blockwise_representative(shape, m_types, model)
     rng = random.Random(seed)
     report = PorbReport(shape.composition, m_types, trials)
-    m_dim = m_orbit_tangent_dim(shape, x)
+    expected = _expected_rank(shape, x)
     induced_dim = (sum(orbit_dimension(t).dim_orbit_F for t in m_types)
                    + 2 * shape.dim_F_sN)
     for _ in range(trials):
         y = sample_s_n(shape, model, rng)
         w = TwistedEndo(model, shape.n, mat_add(x.mat, y.mat))
-        rank = bracket_system(w, sorted(shape.p_mask)).rank_F()
-        if rank != m_dim + shape.dim_F_sN:
+        if _sample_rank(shape, w) != expected:
             report.failures += 1
             continue
         report.certified_trials += 1

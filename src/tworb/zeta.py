@@ -248,27 +248,3 @@ def igusa_shell_measures(d: int, p: int, *, modulus_exp: int = 4,
         total = mod ** (d * d)
         return [Fraction(c, total) for c in det_counts]
     raise ValueError("shell oracle implemented for d <= 2")
-
-
-def igusa_shell_measures_naive(d: int, p: int, *, modulus_exp: int = 4,
-                               order: int = 3) -> list[Fraction]:
-    """Plain full enumeration of M_2(Z/p^L); validates the tallied oracle."""
-    if d != 2:
-        raise ValueError("naive path is for d = 2")
-    mod = p**modulus_exp
-    counts = [0] * (order + 1)
-    for a in range(mod):
-        for b in range(mod):
-            for c in range(mod):
-                for e in range(mod):
-                    det = (a * e - b * c) % mod
-                    if det == 0:
-                        continue
-                    v = 0
-                    x = det
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if v <= order:
-                        counts[v] += 1
-    return [Fraction(cnt, mod**4) for cnt in counts]

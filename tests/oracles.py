@@ -1,0 +1,116 @@
+"""Slow reference implementations that only the tests use.
+
+Each one is the plain, direct version of something ``tworb`` computes a
+faster way, kept here as an oracle for it:
+
+* ``flatten_map`` (with ``unit_matrix``) flattens any F-linear map on a
+  span of matrix positions; ``linalg.bracket_system`` must agree with it
+  over ``twisted_bracket`` entry for entry.
+* ``from_prime_rows`` builds an ``FLinearSystem`` from raw prime-field rows.
+* ``igusa_shell_measures_naive`` enumerates all of M_2(Z/p^L) and checks
+  the tallied ``zeta.igusa_shell_measures``.
+* ``embed_m_x`` embeds blocks along the twisted diagonal of M, which must
+  commute with the standard representative.
+"""
+
+from fractions import Fraction
+
+from tworb.fields import ExtElement, QuadraticExtensionModel
+from tworb.linalg import FLinearSystem, Matrix, mat_sigma
+from tworb.parabolic import AdaptedParabolic
+
+
+def from_prime_rows(rows, *, char: int, subfield_degree: int = 1,
+                    domain_dim_F: int | None = None,
+                    codomain_dim_F: int | None = None) -> FLinearSystem:
+    rows = tuple(tuple(r) for r in rows)
+    ncols = len(rows[0]) if rows else 0
+    e = subfield_degree
+    dom = domain_dim_F if domain_dim_F is not None else ncols // e
+    cod = codomain_dim_F if codomain_dim_F is not None else len(rows) // e
+    return FLinearSystem(rows, dom, cod, char, e)
+
+
+def unit_matrix(model, n: int, pos, scalar: ExtElement) -> Matrix:
+    a, b = pos
+    z = model.zero
+    return tuple(
+        tuple(scalar if (i == a and j == b) else z for j in range(n))
+        for i in range(n))
+
+
+def flatten_map(model, n: int, domain_positions, fn,
+                codomain_positions=None) -> FLinearSystem:
+    """Flatten the F-linear map ``fn`` on the span of matrix positions.
+
+    Domain basis: scalar * E_{ab} for each position and each prime-basis
+    scalar.  Columns of the system are prime coordinates of fn(basis).
+    """
+    domain_positions = list(domain_positions)
+    if codomain_positions is None:
+        codomain_positions = [(i, j) for i in range(n) for j in range(n)]
+    basis = model.prime_basis()
+    per = model.prime_dim_per_e_dim
+    cols = []
+    for pos in domain_positions:
+        for mono in basis:
+            img = fn(unit_matrix(model, n, pos, mono))
+            col = []
+            for (i, j) in codomain_positions:
+                col.extend(model.prime_coords(img[i][j]))
+            cols.append(col)
+    e = model.subfield_degree
+    char = 0 if model.kind == "rational" else model.p
+    # orientation is irrelevant for rank; store basis vectors as rows
+    return FLinearSystem(
+        rows=tuple(tuple(c) for c in cols),
+        domain_dim_F=len(domain_positions) * per // e,
+        codomain_dim_F=len(codomain_positions) * per // e,
+        char=char,
+        subfield_degree=e,
+    )
+
+
+def igusa_shell_measures_naive(d: int, p: int, *, modulus_exp: int = 4,
+                               order: int = 3) -> list[Fraction]:
+    """Plain full enumeration of M_2(Z/p^L); validates the tallied oracle."""
+    if d != 2:
+        raise ValueError("naive path is for d = 2")
+    mod = p**modulus_exp
+    counts = [0] * (order + 1)
+    for a in range(mod):
+        for b in range(mod):
+            for c in range(mod):
+                for e in range(mod):
+                    det = (a * e - b * c) % mod
+                    if det == 0:
+                        continue
+                    v = 0
+                    x = det
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if v <= order:
+                        counts[v] += 1
+    return [Fraction(cnt, mod**4) for cnt in counts]
+
+
+def embed_m_x(ad: AdaptedParabolic, model: QuadraticExtensionModel,
+              blocks: dict):
+    """Embed (g_j)_j into M along the twisted diagonal.
+
+    blocks maps j to a d_j x d_j matrix over E; group (i, j) receives
+    sigma^(j-i)(g_j), which is what commuting with the representative
+    through the identifications by its powers demands.
+    """
+    n = ad.jordan_type.n
+    z = model.zero
+    rows = [[z] * n for _ in range(n)]
+    for (i, j, off, size) in ad.groups:
+        g = blocks[j]
+        for _ in range(j - i):
+            g = mat_sigma(model, g)
+        for a in range(size):
+            for b in range(size):
+                rows[off + a][off + b] = g[a][b]
+    return tuple(tuple(r) for r in rows)

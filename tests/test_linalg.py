@@ -6,18 +6,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import flatten_map, from_prime_rows
 
+from tworb.cli import _all_compositions
 from tworb.fields import make_extension
-from tworb.linalg import (FLinearSystem, SingularMatrix, TwistedEndo,
-                          _rank_int, bracket_system, flatten_map,
-                          is_nilpotent, mat_eq, mat_from_rows, mat_identity,
-                          mat_inv, mat_mul, mat_rank, mat_sigma,
-                          sigma_conjugate, twisted_bracket, twisted_power)
+from tworb.linalg import (SingularMatrix, TwistedEndo, _rank_int,
+                          bracket_system, is_nilpotent, mat_eq,
+                          mat_from_rows, mat_identity, mat_inv, mat_mul,
+                          mat_rank, mat_sigma, sigma_conjugate,
+                          twisted_bracket, twisted_power)
 from tworb.orbits import JordanType, jordan_type_of, standard_representative
+from tworb.parabolic import standard_parabolic
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
+F16 = make_extension({"kind": "finite", "p": 2, "e": 2})
 
 
 def endo(rows, model=RAT):
@@ -176,10 +180,10 @@ def test_integral_rational_products_keep_int_payloads():
 
 
 def test_kernel_dim_examples():
-    zero_map = FLinearSystem.from_prime_rows(
+    zero_map = from_prime_rows(
         [[Fraction(0)] * 3 for _ in range(3)], char=0)
     assert zero_map.kernel_dim_F() == 3
-    ident = FLinearSystem.from_prime_rows(
+    ident = from_prime_rows(
         [[1 if i == j else 0 for j in range(4)] for i in range(4)], char=0)
     assert ident.kernel_dim_F() == 0
 
@@ -199,23 +203,50 @@ def test_rank_plus_nullity_finite_model():
     assert system.kernel_dim_F() == 4
 
 
+def _random_entry(model, rng):
+    if model.kind == "rational":
+        return model.el(rng.randint(-3, 3), rng.randint(-3, 3))
+    return model.random_element(rng)
+
+
+def _sparse_y(model, n, rng):
+    """Y with one zero row and one zero column, every other diagonal entry
+    nonzero and about half of the remaining entries nonzero: positions
+    (a, b) with Y[a][a] and Y[b][b] both nonzero get both bracket terms."""
+    zero_row, zero_col = rng.sample(range(n), 2)
+    rows = [[model.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == zero_row or j == zero_col:
+                continue
+            if i == j or rng.random() < 0.5:
+                while not rows[i][j]:
+                    rows[i][j] = _random_entry(model, rng)
+    return TwistedEndo(model, n, tuple(tuple(r) for r in rows))
+
+
 def test_bracket_system_matches_generic_flattener():
     rng = random.Random(9)
-    for model in (RAT, F9):
-        for _ in range(6):
-            n = rng.randint(1, 3)
-            if model.kind == "rational":
-                rows = [[model.el(rng.randint(-3, 3), rng.randint(-3, 3))
-                         for _ in range(n)] for _ in range(n)]
+    for model in (RAT, F9, F16):
+        for k in range(8):
+            if k % 2:
+                n = rng.randint(3, 4)
+                y = _sparse_y(model, n, rng)
             else:
-                rows = [[model.random_element(rng) for _ in range(n)]
-                        for _ in range(n)]
-            y = TwistedEndo(model, n, tuple(tuple(r) for r in rows))
-            fast = bracket_system(y)
-            slow = flatten_map(model, n,
-                               [(i, j) for i in range(n) for j in range(n)],
-                               lambda z: twisted_bracket(z, y))
-            assert fast.rows == slow.rows
+                n = rng.randint(1, 4)
+                y = TwistedEndo(model, n, tuple(
+                    tuple(_random_entry(model, rng) for _ in range(n))
+                    for _ in range(n)))
+            everything = [(i, j) for i in range(n) for j in range(n)]
+            shape = standard_parabolic(rng.choice(list(_all_compositions(n))))
+            # None is every position, the default
+            for domain in (None, sorted(shape.m_mask), sorted(shape.n_mask),
+                           sorted(shape.p_mask)):
+                fast = bracket_system(y, domain)
+                slow = flatten_map(model, n,
+                                   everything if domain is None else domain,
+                                   lambda z: twisted_bracket(z, y))
+                assert fast.rows == slow.rows
 
 
 def test_mat_inv_round_trip():
@@ -303,9 +334,9 @@ def test_integral_fraction_rows_reach_bareiss_as_ints(monkeypatch):
     monkeypatch.setattr(linalg, "_rank_int", spy)
     ints = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
     fracs = [[Fraction(x) for x in r] for r in ints]
-    assert FLinearSystem.from_prime_rows(fracs, char=0).rank_F() == 2
+    assert from_prime_rows(fracs, char=0).rank_F() == 2
     assert seen and all(type(x) is int for x in seen)
-    assert FLinearSystem.from_prime_rows(ints, char=0).rank_F() == 2
+    assert from_prime_rows(ints, char=0).rank_F() == 2
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -468,3 +499,80 @@ def sparse_int_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_rank_int_matches_fraction_gauss_on_sparse_matrices(rows):
     assert _rank_int([r[:] for r in rows]) == _rank_fraction_gauss(rows)
+
+
+def _rank_mod_p_gauss(rows, p):
+    """Independent oracle: Gauss-Jordan elimination over F_p."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _f4_block(v):
+    """Multiplication by a + b x on F_4 = F_2[x]/(x^2 + x + 1), as the
+    2 x 2 matrix over F_2 in the basis (1, x): x * x = 1 + x."""
+    a, b = v & 1, v >> 1
+    return [[a, b], [b, a ^ b]]
+
+
+@st.composite
+def prime_systems(draw):
+    """(rows, char, subfield_degree): wide or tall matrices with zero rows,
+    zero columns and dependent rows, over Q (ints and Fractions), over
+    F_p, or F_4-linear over F_2 (subfield_degree 2)."""
+    kind = draw(st.sampled_from(["Q", "F_p", "F_4 over F_2"]))
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if kind == "Q":
+        entry = st.one_of(st.just(0), st.integers(-9, 9),
+                          st.fractions(-3, 3, max_denominator=5))
+    elif kind == "F_p":
+        char = draw(st.sampled_from([2, 3, 5, 7]))
+        entry = st.integers(-9, 9)  # reduced mod p by the system
+    else:
+        entry = st.integers(0, 3)  # a + b x
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc))
+            for _ in range(nr)]
+    if kind != "F_4 over F_2":
+        for k in range(1, nr):
+            if draw(st.booleans()):
+                c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+                i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+                rows[k] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+    for i in draw(st.sets(st.integers(0, nr - 1), max_size=nr - 1)):
+        rows[i] = [0] * nc
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=nc - 1)):
+        for r in rows:
+            r[j] = 0
+    if kind == "Q":
+        return rows, 0, 1
+    if kind == "F_p":
+        return rows, char, 1
+    return ([[blk[s][t] for v in r for blk in [_f4_block(v)] for t in (0, 1)]
+             for r in rows for s in (0, 1)], 2, 2)
+
+
+@given(prime_systems())
+# only the last transposed row is nonzero
+@example(([[0, 0, 5], [0, 0, 0]], 0, 1))
+@example(([[0, 3], [0, 0], [1, 0]], 3, 1))
+@example(([[0, 0, 1, 1], [0, 0, 1, 0]], 2, 2))
+@settings(max_examples=300, deadline=None)
+def test_rank_F_matches_oracles(case):
+    rows, char, e = case
+    want = (_rank_fraction_gauss(rows) if char == 0
+            else _rank_mod_p_gauss(rows, char))
+    assert want % e == 0
+    assert from_prime_rows(rows, char=char, subfield_degree=e).rank_F() == \
+        want // e

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import embed_m_x
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
@@ -12,7 +13,7 @@ from tworb.orbits import (JordanType, enumerate_orbits, orbit_dimension,
 from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
                              ShapeMismatch, SupportViolation,
                              adapted_parabolic, blockwise_representative,
-                             embed_m_x, flag_fixed_count, induce_orbit,
+                             flag_fixed_count, induce_orbit,
                              induce_orbit_report, n_x_dim_oracle,
                              rank_criterion, richardson_dual, sample_s_n,
                              standard_parabolic, verify_porb)
@@ -275,6 +276,26 @@ def test_genericity_failure_surfaces():
     # with zero trials allowed nothing can certify
     with pytest.raises(GenericityFailure):
         induce_orbit(shape, zero_types((1, 1)), RAT, max_trials=0)
+
+
+def test_genericity_failure_names_the_ranks(monkeypatch):
+    # Y = 0 leaves [p, X + Y] = [p, 0] = 0 against dim_F s_N = 2, and the
+    # Levi part dim_F [m, X] is ranked once for all trials
+    import tworb.parabolic as parabolic
+
+    calls = []
+    real = parabolic.m_orbit_tangent_dim
+    monkeypatch.setattr(parabolic, "m_orbit_tangent_dim",
+                        lambda shape, x: calls.append(1) or real(shape, x))
+    monkeypatch.setattr(parabolic, "sample_s_n",
+                        lambda shape, model, rng: endo([[0, 0], [0, 0]]))
+    with pytest.raises(GenericityFailure) as failure:
+        induce_orbit_report(standard_parabolic((1, 1)), zero_types((1, 1)),
+                            RAT, max_trials=3)
+    message = str(failure.value)
+    assert "expected rank 2" in message
+    assert "got ranks [0, 0, 0]" in message
+    assert len(calls) == 1
 
 
 # -- flag point-count oracle --------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from oracles import igusa_shell_measures_naive
 from sympy_ratfun import ONE, BivariateRationalFunction, Q, T as TVAR, \
     from_json
 
@@ -15,9 +16,8 @@ from tworb.orbits import JordanType, enumerate_orbits, orbit_dimension, \
 from tworb.parabolic import ShapeMismatch
 from tworb.zeta import (delta_matrix, dim_F_uX, exponent_table,
                         homogeneity_identity_check, igusa_matrix_factor,
-                        igusa_shell_measures, igusa_shell_measures_naive,
-                        local_zeta_factors, local_zeta_model,
-                        scaling_exponent_check)
+                        igusa_shell_measures, local_zeta_factors,
+                        local_zeta_model, scaling_exponent_check)
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 BRF = BivariateRationalFunction
