@@ -16,7 +16,7 @@ by e; FLinearSystem owns that single conversion point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import ExtElement, QuadraticExtensionModel
 
@@ -167,11 +167,16 @@ def mat_inv(a: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class TwistedEndo:
-    """The sigma-linear map v -> Y * sigma(v) on E^n."""
+    """The sigma-linear map v -> Y * sigma(v) on E^n.
+
+    ``_powers`` holds the twisted powers P_0, P_1, ... made so far (see
+    twisted_power); it takes no part in ==, hash or dataclasses.replace.
+    """
 
     model: QuadraticExtensionModel
     n: int
     mat: Matrix
+    _powers: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, model, rows) -> "TwistedEndo":
@@ -186,14 +191,20 @@ class TwistedEndo:
 
 
 def twisted_power(y: TwistedEndo, k: int) -> Matrix:
-    """Matrix of the k-th power: the alternating product with k factors."""
+    """Matrix of the k-th power: the alternating product with k factors.
+
+    The powers are memoized on ``y``: a call makes only the products no
+    earlier call made, and none past the first zero power, which every
+    later power equals.  Each longer tuple is published whole, so callers
+    sharing ``y`` can at worst make a product twice.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    model = y.model
-    acc = mat_identity(model, y.n)
-    for _ in range(k):
-        acc = mat_mul(y.mat, mat_sigma(model, acc))
-    return acc
+    powers = y._powers or (mat_identity(y.model, y.n),)
+    while len(powers) <= k and not mat_is_zero(powers[-1]):
+        powers += (mat_mul(y.mat, mat_sigma(y.model, powers[-1])),)
+        object.__setattr__(y, "_powers", powers)
+    return powers[min(k, len(powers) - 1)]
 
 
 def sigma_conjugate(h: Matrix, y: TwistedEndo) -> TwistedEndo:

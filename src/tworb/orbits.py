@@ -118,16 +118,16 @@ def standard_representative(t: JordanType,
 def jordan_type_of(y: TwistedEndo) -> JordanType:
     """Recover the partition from ranks of twisted powers.
 
-    The number of blocks of size >= k is rank(P_{k-1}) - rank(P_k).
+    The number of blocks of size >= k is rank(P_{k-1}) - rank(P_k).  The
+    powers are the ones is_nilpotent made, memoized on ``y``, so a map of
+    type lambda costs lambda_1 products in all.
     """
     if not is_nilpotent(y):
         raise NotNilpotent("twisted power of order n does not vanish")
     n = y.n
     ranks = [n]
-    power = twisted_power(y, 0)
     while ranks[-1] > 0:
-        power = mat_mul(y.mat, mat_sigma(y.model, power))
-        ranks.append(mat_rank(power))
+        ranks.append(mat_rank(twisted_power(y, len(ranks))))
     geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
     for size in range(len(geq), 0, -1):

@@ -15,6 +15,7 @@ samples are never wrong, so sampling affects liveness only.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -302,10 +303,12 @@ class PorbReport:
     @property
     def ok(self) -> bool:
         return (self.certified_trials > 0 and self.constant_type
-                and self.tangent_dim_checks == self.certified_trials)
+                and self.tangent_dim_checks == self.certified_trials
+                and self.induced_type == induced_row_sum(self.m_types))
 
     def to_json(self) -> dict:
-        return {
+        """The report row; a failing case also lists every type seen."""
+        out = {
             "composition": list(self.composition),
             "m_types": [t.to_json() for t in self.m_types],
             "trials": self.trials,
@@ -316,6 +319,9 @@ class PorbReport:
                              if self.induced_type else None),
             "constant_type": self.constant_type,
         }
+        if not self.ok:
+            out["types_seen"] = [t.to_json() for t in self.types_seen]
+        return out
 
 
 def verify_porb(shape: ParabolicShape, m_types,
@@ -327,7 +333,8 @@ def verify_porb(shape: ParabolicShape, m_types,
         dim_F O_ind = sum_i dim_F O_{M,i} + 2 dim_F s_N,
 
     with each dimension read off the Jordan type by orbit_dimension, so
-    the count of passing checks is independent of the rank certificate."""
+    the count of passing checks is independent of the rank certificate.
+    The report is ok only if that type is also induced_row_sum(m_types)."""
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
     rng = random.Random(seed)
@@ -401,8 +408,6 @@ def flag_fixed_count(y: TwistedEndo) -> int:
         raise ValueError("flag counting needs the finite model")
     if n == 1:
         return 1
-    import itertools as it
-
     elems = list(model.elements())
 
     def apply_x(vec):
@@ -411,7 +416,7 @@ def flag_fixed_count(y: TwistedEndo) -> int:
                     start=y.mat[i][0] * sv[0]) for i in range(n)]
 
     def all_vectors():
-        for combo in it.product(range(len(elems)), repeat=n):
+        for combo in itertools.product(range(len(elems)), repeat=n):
             yield [elems[i] for i in combo]
 
     def is_stable(rows):
@@ -445,6 +450,13 @@ def flag_fixed_count(y: TwistedEndo) -> int:
         if is_stable(key):
             total += count_from(key, 1)
     return total
+
+
+def induced_row_sum(m_types) -> JordanType:
+    """Induced type in GL_n by Lusztig-Spaltenstein (1979): parts add row by
+    row, mu_i = sum_k lambda^k_i, with missing parts read as 0."""
+    rows = itertools.zip_longest(*(t.parts for t in m_types), fillvalue=0)
+    return JordanType(tuple(sum(r) for r in rows))
 
 
 def richardson_dual(comp) -> JordanType:

@@ -11,12 +11,16 @@ faster way, kept here as an oracle for it:
   the tallied ``zeta.igusa_shell_measures``.
 * ``embed_m_x`` embeds blocks along the twisted diagonal of M, which must
   commute with the standard representative.
+* ``mat_mul_naive`` is the plain triple loop ``linalg.mat_mul`` must match;
+  ``alternating_product`` multiplies Y * sigma(Y) * Y * ... out from the
+  left with it, with no memo, against ``linalg.twisted_power``.
 """
 
 from fractions import Fraction
 
 from tworb.fields import ExtElement, QuadraticExtensionModel
-from tworb.linalg import FLinearSystem, Matrix, mat_sigma
+from tworb.linalg import (FLinearSystem, Matrix, TwistedEndo, mat_identity,
+                          mat_sigma)
 from tworb.parabolic import AdaptedParabolic
 
 
@@ -114,3 +118,20 @@ def embed_m_x(ad: AdaptedParabolic, model: QuadraticExtensionModel,
             for b in range(size):
                 rows[off + a][off + b] = g[a][b]
     return tuple(tuple(r) for r in rows)
+
+
+def mat_mul_naive(model, a: Matrix, b: Matrix) -> Matrix:
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), model.zero)
+              for j in range(len(b[0])))
+        for i in range(len(a)))
+
+
+def alternating_product(y: TwistedEndo, k: int) -> Matrix:
+    """The k-factor product Y * sigma(Y) * Y * ..., built afresh."""
+    model = y.model
+    factors = (y.mat, mat_sigma(model, y.mat))
+    acc = mat_identity(model, y.n)
+    for i in range(k):
+        acc = mat_mul_naive(model, acc, factors[i % 2])
+    return acc

@@ -1,21 +1,26 @@
 """Twisted matrix operations and the exact F-linear solver."""
 
+import dataclasses
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import flatten_map, from_prime_rows
+from oracles import (alternating_product, flatten_map, from_prime_rows,
+                     mat_mul_naive)
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
-from tworb.linalg import (SingularMatrix, TwistedEndo, _rank_int,
+from tworb.linalg import (NotNilpotent, SingularMatrix, TwistedEndo, _rank_int,
                           bracket_system, is_nilpotent, mat_eq,
                           mat_from_rows, mat_identity, mat_inv, mat_mul,
                           mat_rank, mat_sigma, sigma_conjugate,
                           twisted_bracket, twisted_power)
-from tworb.orbits import JordanType, jordan_type_of, standard_representative
+from tworb.orbits import (JordanType, enumerate_orbits, jordan_type_of,
+                          standard_representative)
 from tworb.parabolic import standard_parabolic
 
 RAT = make_extension({"kind": "rational", "tau": 2})
@@ -166,6 +171,119 @@ def test_regular_representative_vanishes_exactly_at_power_n(model, n):
     assert not _is_zero(twisted_power(y, n - 1))
     assert _is_zero(twisted_power(y, n))
     assert is_nilpotent(y)
+
+
+# -- memoized twisted powers -------------------------------------------------
+
+
+@st.composite
+def power_requests(draw):
+    """A map, nilpotent or not, and powers k in [0, 2n] in drawn order."""
+    model = draw(st.sampled_from([RAT, F9, F16]))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["drawn", "strictly upper", "representative"]))
+    if kind == "representative":
+        y = standard_representative(draw(st.sampled_from(enumerate_orbits(n))),
+                                    model)
+    else:
+        rows = draw(e_matrices(model, n, n))
+        if kind == "strictly upper":  # nilpotent
+            rows = [[x if j > i else model.zero for j, x in enumerate(r)]
+                    for i, r in enumerate(rows)]
+        y = TwistedEndo(model, n, tuple(tuple(r) for r in rows))
+    return y, draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=6))
+
+
+@given(power_requests())
+@settings(max_examples=120, deadline=None)
+def test_memoized_powers_match_uncached_products(case):
+    y, ks = case
+    for k in ks:
+        got = twisted_power(y, k)
+        assert [len(r) for r in got] == [y.n] * y.n
+        assert mat_eq(got, alternating_product(y, k)), k
+
+
+@pytest.mark.parametrize("model", [RAT, F9, F16],
+                         ids=["Q(sqrt2)", "F3", "F16"])
+def test_powers_past_the_first_zero_are_n_by_n_zero(model):
+    for t in enumerate_orbits(4):
+        y = standard_representative(t, model)
+        assert not _is_zero(twisted_power(y, t.r - 1))
+        for k in range(2 * t.n, t.r - 1, -1):  # the zero is cached first
+            p = twisted_power(y, k)
+            assert [len(r) for r in p] == [4] * 4 and _is_zero(p)
+
+
+def test_threads_sharing_a_map_read_only_true_powers():
+    # check-then-publish without a lock: a lost update can only cost a
+    # product made twice, never a wrong or short power
+    rng = random.Random(5)
+    maps = [TwistedEndo(F16, 4, tuple(
+        tuple(_random_entry(F16, rng) for _ in range(4)) for _ in range(4)))
+        for _ in range(3)] + [standard_representative(JordanType((3, 1)), F9)]
+    expected = {id(y): [alternating_product(y, k) for k in range(9)]
+                for y in maps}
+    wrong = []
+
+    def work(seed):
+        order = random.Random(seed)
+        for y in maps:
+            for k in order.sample(range(9), 9):
+                if twisted_power(y, k) != expected[id(y)][k]:
+                    wrong.append((seed, k))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The mat_mul calls made, counted through linalg's own name."""
+    import tworb.linalg as linalg
+
+    calls = []
+    real = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul",
+                        lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def test_cached_powers_leave_equality_hash_and_replace_alone(products):
+    y = standard_representative(JordanType((3, 1)), RAT)
+    fresh = TwistedEndo(RAT, y.n, y.mat)
+    twisted_power(y, 4)
+    assert len(products) == 3
+    assert y == fresh and hash(y) == hash(fresh) and repr(y) == repr(fresh)
+    # a copy, equal or not, starts with no powers of its own
+    products.clear()
+    twisted_power(dataclasses.replace(y), 2)
+    twisted_power(fresh, 2)
+    assert len(products) == 4
+
+
+def test_jordan_type_ranks_the_powers_is_nilpotent_made(products):
+    for model in (RAT, F16):
+        for t in enumerate_orbits(5):
+            products.clear()
+            assert jordan_type_of(standard_representative(t, model)) == t
+            assert len(products) == t.r, t
+    # an idempotent line plus a nilpotent part: no power ever vanishes
+    y = endo([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+    products.clear()
+    with pytest.raises(NotNilpotent):
+        jordan_type_of(y)
+    assert len(products) == 3
 
 
 def test_integral_rational_products_keep_int_payloads():
@@ -365,13 +483,6 @@ def test_bracket_is_F_linear_in_Z(a, b, seed):
 # the exact kernels against plain reference versions
 
 
-def _mat_mul_naive(model, a, b):
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), model.zero)
-              for j in range(len(b[0])))
-        for i in range(len(a)))
-
-
 def _rank_by_inverses(a):
     """Gaussian elimination that scales each pivot row by its inverse."""
     rows = [list(r) for r in a]
@@ -444,7 +555,7 @@ def test_mat_mul_matches_triple_loop(operands):
     model, a, b = operands
     got = mat_mul(a, b)
     assert [len(r) for r in got] == [len(b[0])] * len(a)
-    assert mat_eq(got, _mat_mul_naive(model, a, b))
+    assert mat_eq(got, mat_mul_naive(model, a, b))
 
 
 @st.composite

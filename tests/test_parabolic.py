@@ -1,5 +1,6 @@
 """Parabolic masks, the rank certificate, induction, and the flag oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -14,9 +15,9 @@ from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
                              ShapeMismatch, SupportViolation,
                              adapted_parabolic, blockwise_representative,
                              flag_fixed_count, induce_orbit,
-                             induce_orbit_report, n_x_dim_oracle,
-                             rank_criterion, richardson_dual, sample_s_n,
-                             standard_parabolic, verify_porb)
+                             induce_orbit_report, induced_row_sum,
+                             n_x_dim_oracle, rank_criterion, richardson_dual,
+                             sample_s_n, standard_parabolic, verify_porb)
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
@@ -269,6 +270,48 @@ def test_verify_porb_fails_on_a_constant_wrong_type(monkeypatch):
     assert bad.constant_type and bad.certified_trials == good.certified_trials
     assert bad.tangent_dim_checks == 0
     assert not bad.ok
+
+
+def test_verify_porb_fails_on_a_wrong_shape_of_the_right_dimension(
+        monkeypatch):
+    # (3,1,1,1) has the orbit dimension of (2,2,2), the row sum of two zero
+    # types of size 3, so only the Lusztig-Spaltenstein shape tells them apart
+    import tworb.parabolic as parabolic
+
+    shape, types = standard_parabolic((3, 3)), zero_types((3, 3))
+    assert induced_row_sum(types) == T(2, 2, 2)
+    assert orbit_dimension(T(3, 1, 1, 1)) == orbit_dimension(T(2, 2, 2))
+    good = verify_porb(shape, types, RAT, trials=2, seed=1)
+    assert good.ok and good.induced_type == T(2, 2, 2)
+    monkeypatch.setattr(parabolic, "jordan_type_of", lambda y: T(3, 1, 1, 1))
+    bad = verify_porb(shape, types, RAT, trials=2, seed=1)
+    assert bad.constant_type
+    assert bad.tangent_dim_checks == bad.certified_trials > 0
+    assert not bad.ok
+    assert bad.to_json()["types_seen"] == [[3, 1, 1, 1]]
+
+
+def test_only_a_failing_porb_case_lists_the_types_seen(monkeypatch):
+    import tworb.parabolic as parabolic
+
+    shape, types = standard_parabolic((2, 1)), zero_types((2, 1))
+    good = verify_porb(shape, types, RAT, trials=10, seed=3)
+    assert good.ok and "types_seen" not in good.to_json()
+    answers = itertools.cycle([T(2, 1), T(1, 1, 1)])
+    monkeypatch.setattr(parabolic, "jordan_type_of", lambda y: next(answers))
+    bad = verify_porb(shape, types, RAT, trials=10, seed=3)
+    assert not bad.constant_type and not bad.ok
+    payload = bad.to_json()
+    assert payload["types_seen"] == [[2, 1], [1, 1, 1]]
+    assert list(payload)[:-1] == list(good.to_json())
+
+
+def test_induced_row_sum():
+    assert induced_row_sum([T(2, 1), T(1, 1, 1), T(3)]) == T(6, 2, 1)
+    assert induced_row_sum([T(1)]) == T(1)
+    for n in range(1, 6):
+        for comp in _all_compositions(n):  # Richardson: zero Levi types
+            assert induced_row_sum(zero_types(comp)) == richardson_dual(comp)
 
 
 def test_genericity_failure_surfaces():
