@@ -1,26 +1,32 @@
 """Exact arithmetic in a quadratic extension E/F with its Galois involution.
 
-Two desk-scale models are provided:
+:func:`make_extension` decides the field kind once and returns one of two
+model classes, each with its own payload arithmetic:
 
-* ``rational``: F = Q, E = Q(sqrt(tau)) for a non-square rational tau.
-  Elements are stored as pairs (a, b) meaning a + b*sqrt(tau); each of a,
-  b (and tau itself) is stored as an ``int`` when it is integral and as a
-  :class:`fractions.Fraction` only when it is not, so elements of
-  Z[sqrt(tau)] compute in plain integers.  The two types mix exactly and
-  agree under ``==`` and ``hash``.  The involution sends b to -b.
-* ``finite``: F = F_q with q = p^e, E = F_{q^2}.  E is realised as
-  F_p[x]/(mu) for a fixed irreducible mu of degree 2e, elements are
-  coefficient tuples over F_p, and the involution is the relative
-  Frobenius x -> x^q.
+* :class:`RationalModel` (kind ``rational``): F = Q, E = Q(sqrt(tau)) for
+  a non-square rational tau.  Elements are stored as pairs (a, b) meaning
+  a + b*sqrt(tau); each of a, b (and tau itself) is stored as an ``int``
+  when it is integral and as a :class:`fractions.Fraction` only when it is
+  not, so elements of Z[sqrt(tau)] compute in plain integers.  The two
+  types mix exactly and agree under ``==`` and ``hash``.  The involution
+  sends b to -b.
+* :class:`FiniteModel` (kind ``finite``): F = F_q with q = p^e,
+  E = F_{q^2}.  E is realised as F_p[x]/(mu) for a fixed irreducible mu of
+  degree 2e, elements are coefficient tuples over F_p, the involution is
+  the relative Frobenius x -> x^q, and the inverse is x^(q^2 - 2).
 
-All arithmetic is exact; no floating point is used anywhere.  Elements
-are immutable and safe to share between parallel workers.
+Both subclass :class:`QuadraticExtensionModel`, which holds what they
+share.  A method only one model has (``el``, ``from_coeffs``, element
+enumeration) exists only on that class.  All arithmetic is exact; no
+floating point is used anywhere.  Elements are immutable and safe to share
+between parallel workers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class FieldModelError(ValueError):
@@ -128,7 +134,7 @@ def _poly_is_irreducible(m: list[int], p: int) -> bool:
         return False
     for ell in _prime_factors(d):
         xp = _poly_powmod(x, p ** (d // ell), m, p)
-        diff = [(xi - yi) % p for xi, yi in _zip_pad(xp, x)]
+        diff = [(xi - yi) % p for xi, yi in zip_longest(xp, x, fillvalue=0)]
         g = _poly_gcd(diff, m, p)
         if len(g) - 1 > 0:
             return False
@@ -147,13 +153,6 @@ def _prime_factors(d: int) -> list[int]:
     if d > 1:
         out.append(d)
     return out
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    for i in range(n):
-        yield (a[i] if i < la else 0), (b[i] if i < lb else 0)
 
 
 def _find_irreducible(degree: int, p: int) -> list[int]:
@@ -248,6 +247,8 @@ class ExtElement:
         return not self.model._is_zero(self.payload)
 
     def inverse(self) -> "ExtElement":
+        if self.model._is_zero(self.payload):
+            raise ZeroDivisionError("inverse of zero in E")
         return ExtElement(self.model, self.model._inv(self.payload))
 
     def __repr__(self):
@@ -257,78 +258,25 @@ class ExtElement:
 class QuadraticExtensionModel:
     """A concrete quadratic extension E/F together with its involution.
 
-    Use :func:`make_extension` to construct one; the constructor trusts
-    its arguments.
+    Use :func:`make_extension` to construct one: it returns a
+    :class:`RationalModel` or a :class:`FiniteModel`, whose constructors
+    trust their arguments.  Each subclass owns its payload arithmetic,
+    ``sigma``, ``prime_basis`` and element JSON; models compare and hash
+    by ``_key``, which names the kind and its parameters.
     """
 
-    def __init__(self, kind: str, *, tau: int | Fraction | None = None,
-                 p: int | None = None, e: int | None = None):
-        self.kind = kind
-        if kind == "rational":
-            self.tau = tau
-        else:
-            self.p = p
-            self.e = e
-            self.q = p**e
-            deg = 2 * e
-            self.degree = deg
-            self.modulus = _find_irreducible(deg, p)
-            # reduction of x^deg .. x^(2*deg-2), used by multiplication
-            self._red = []
-            cur = _poly_mod([0] * deg + [1], self.modulus, p)
-            for _ in range(deg - 1):
-                self._red.append(self._pad(cur))
-                cur = _poly_mod(_poly_mul(cur, [0, 1], p), self.modulus, p)
-            # the involution x -> x^q is F_p-linear; tabulate it on monomials
-            s = _poly_powmod([0, 1], self.q, self.modulus, p)
-            self._sigma_rows = []
-            cur = [1]
-            for _ in range(deg):
-                self._sigma_rows.append(self._pad(cur))
-                cur = _poly_mod(_poly_mul(cur, s, p), self.modulus, p)
-
-    # -- descriptors and constructors -------------------------------------
-
-    def descriptor(self) -> dict:
-        if self.kind == "rational":
-            tau = self.tau
-            return {"kind": "rational",
-                    "tau": int(tau) if tau.denominator == 1 else str(tau)}
-        return {"kind": "finite", "p": self.p, "e": self.e}
+    kind: str
+    char: int                 # 0, or p
+    prime_dim_per_e_dim: int  # [E : prime field]
+    subfield_degree: int      # [F : prime field]; converts dimensions to F
+    _key: tuple
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticExtensionModel)
-                and self.descriptor() == other.descriptor())
+                and self._key == other._key)
 
     def __hash__(self):
-        return hash(str(self.descriptor()))
-
-    def __repr__(self):
-        if self.kind == "rational":
-            return f"QuadraticExtensionModel(Q(sqrt({self.tau})))"
-        return f"QuadraticExtensionModel(F_{self.q**2}/F_{self.q})"
-
-    def _pad(self, coeffs: list[int]) -> tuple[int, ...]:
-        return tuple(coeffs) + (0,) * (self.degree - len(coeffs))
-
-    def from_int(self, m: int) -> ExtElement:
-        if self.kind == "rational":
-            return ExtElement(self, (_rat(m), 0))
-        return ExtElement(self, self._pad([m % self.p]))
-
-    def el(self, a, b=0) -> ExtElement:
-        """a + b*gen, with a and b base-field rationals (rational kind only)."""
-        if self.kind != "rational":
-            raise FieldModelError("el(a, b) is for the rational model")
-        return ExtElement(self, (_rat(a), _rat(b)))
-
-    def from_coeffs(self, coeffs) -> ExtElement:
-        if self.kind != "finite":
-            raise FieldModelError("from_coeffs is for the finite model")
-        c = [ci % self.p for ci in coeffs]
-        if len(c) > self.degree:
-            raise FieldModelError("too many coefficients")
-        return ExtElement(self, self._pad(c))
+        return hash(self._key)
 
     @property
     def zero(self) -> ExtElement:
@@ -338,39 +286,158 @@ class QuadraticExtensionModel:
     def one(self) -> ExtElement:
         return self.from_int(1)
 
+    def norm(self, x: ExtElement) -> ExtElement:
+        """x * sigma(x); always lands in the base field."""
+        return x * self.sigma(x)
+
+    def in_base_field(self, x: ExtElement) -> bool:
+        return self.sigma(x) == x
+
+    def prime_coords(self, x: ExtElement):
+        """Coordinates in prime_basis: (a, b) of ints/Fractions, or a
+        coefficient tuple over F_p.
+
+        All linear-algebra flattening happens relative to this basis; for
+        the finite model, dimensions over F_q are recovered by dividing
+        prime-field dimensions by e (see linalg.FLinearSystem).
+        """
+        return x.payload
+
+
+class RationalModel(QuadraticExtensionModel):
+    """E = Q(sqrt(tau)) over F = Q; the payload (a, b) is a + b*sqrt(tau)."""
+
+    kind = "rational"
+    char = 0
+    prime_dim_per_e_dim = 2
+    subfield_degree = 1
+
+    def __init__(self, tau: int | Fraction):
+        self.tau = tau
+        self._key = ("rational", tau)
+
+    def __repr__(self):
+        return f"QuadraticExtensionModel(Q(sqrt({self.tau})))"
+
+    def from_int(self, m: int) -> ExtElement:
+        return ExtElement(self, (_rat(m), 0))
+
+    def el(self, a, b=0) -> ExtElement:
+        """a + b*sqrt(tau), with a and b rationals."""
+        return ExtElement(self, (_rat(a), _rat(b)))
+
     @property
     def gen(self) -> ExtElement:
-        """A generator of E over F: sqrt(tau), or the class of x."""
-        if self.kind == "rational":
-            return ExtElement(self, (0, 1))
+        """sqrt(tau), a generator of E over F."""
+        return ExtElement(self, (0, 1))
+
+    # -- raw payload arithmetic -------------------------------------------
+
+    def _add(self, x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def _sub(self, x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def _neg(self, x):
+        return (-x[0], -x[1])
+
+    def _mul(self, x, y):
+        a, b = x
+        c, d = y
+        return (a * c + self.tau * b * d, a * d + b * c)
+
+    def _is_zero(self, x) -> bool:
+        return x[0] == 0 and x[1] == 0
+
+    def _inv(self, x):
+        a, b = x
+        nrm = a * a - self.tau * b * b
+        return (_rat(Fraction(a, nrm)), _rat(Fraction(-b, nrm)))
+
+    def _format(self, x) -> str:
+        return f"{x[0]}+{x[1]}*sqrt({self.tau})"
+
+    def sigma(self, x: ExtElement) -> ExtElement:
+        a, b = x.payload
+        return ExtElement(self, (a, -b))
+
+    def prime_basis(self) -> list[ExtElement]:
+        """The basis (1, sqrt(tau)) of E over Q."""
+        return [self.one, self.gen]
+
+    def element_to_json(self, x: ExtElement):
+        a, b = x.payload
+        return {"a": str(a) if a.denominator != 1 else a.numerator,
+                "b": str(b) if b.denominator != 1 else b.numerator}
+
+    def element_from_json(self, data) -> ExtElement:
+        return self.el(Fraction(str(data["a"])), Fraction(str(data["b"])))
+
+
+class FiniteModel(QuadraticExtensionModel):
+    """E = F_{q^2} over F = F_q, q = p^e, as F_p[x]/(mu) for a fixed
+    irreducible mu of degree 2e; the payload is a coefficient tuple over
+    F_p, lowest degree first, and index i enumerates it in base p."""
+
+    kind = "finite"
+
+    def __init__(self, p: int, e: int):
+        self.p = self.char = p
+        self.e = self.subfield_degree = e
+        self.q = p**e
+        deg = self.degree = self.prime_dim_per_e_dim = 2 * e
+        self._key = ("finite", p, e)
+        self.modulus = _find_irreducible(deg, p)
+        # reduction of x^deg .. x^(2*deg-2), used by multiplication
+        self._red = []
+        cur = _poly_mod([0] * deg + [1], self.modulus, p)
+        for _ in range(deg - 1):
+            self._red.append(self._pad(cur))
+            cur = _poly_mod(_poly_mul(cur, [0, 1], p), self.modulus, p)
+        # the involution x -> x^q is F_p-linear; tabulate it on monomials
+        s = _poly_powmod([0, 1], self.q, self.modulus, p)
+        self._sigma_rows = []
+        cur = [1]
+        for _ in range(deg):
+            self._sigma_rows.append(self._pad(cur))
+            cur = _poly_mod(_poly_mul(cur, s, p), self.modulus, p)
+
+    def __repr__(self):
+        return f"QuadraticExtensionModel(F_{self.q**2}/F_{self.q})"
+
+    def _pad(self, coeffs: list[int]) -> tuple[int, ...]:
+        return tuple(coeffs) + (0,) * (self.degree - len(coeffs))
+
+    def from_int(self, m: int) -> ExtElement:
+        return ExtElement(self, self._pad([m % self.p]))
+
+    def from_coeffs(self, coeffs) -> ExtElement:
+        c = [ci % self.p for ci in coeffs]
+        if len(c) > self.degree:
+            raise FieldModelError("too many coefficients")
+        return ExtElement(self, self._pad(c))
+
+    @property
+    def gen(self) -> ExtElement:
+        """The class of x, a generator of E over F."""
         return ExtElement(self, self._pad([0, 1]))
 
     # -- raw payload arithmetic -------------------------------------------
 
     def _add(self, x, y):
-        if self.kind == "rational":
-            return (x[0] + y[0], x[1] + y[1])
         p = self.p
         return tuple((a + b) % p for a, b in zip(x, y))
 
     def _sub(self, x, y):
-        if self.kind == "rational":
-            return (x[0] - y[0], x[1] - y[1])
         p = self.p
         return tuple((a - b) % p for a, b in zip(x, y))
 
     def _neg(self, x):
-        if self.kind == "rational":
-            return (-x[0], -x[1])
         p = self.p
         return tuple((-a) % p for a in x)
 
     def _mul(self, x, y):
-        if self.kind == "rational":
-            a, b = x
-            c, d = y
-            t = self.tau
-            return (a * c + t * b * d, a * d + b * c)
         p = self.p
         deg = self.degree
         prod = [0] * (2 * deg - 1)
@@ -389,57 +456,22 @@ class QuadraticExtensionModel:
         return tuple(out)
 
     def _is_zero(self, x) -> bool:
-        if self.kind == "rational":
-            return x[0] == 0 and x[1] == 0
         return all(c == 0 for c in x)
 
     def _inv(self, x):
-        if self._is_zero(x):
-            raise ZeroDivisionError("inverse of zero in E")
-        if self.kind == "rational":
-            a, b = x
-            nrm = a * a - self.tau * b * b
-            return (_rat(Fraction(a, nrm)), _rat(Fraction(-b, nrm)))
-        # extended Euclid in F_p[x] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(x))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q_poly = []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], -1, p)
-            while len(rem) >= len(r1) and _poly_trim(rem):
-                rem = _poly_trim(rem)
-                if len(rem) < len(r1):
-                    break
-                coef = (rem[-1] * inv_lead) % p
-                shift = len(rem) - len(r1)
-                q_poly += [0] * max(0, shift + 1 - len(q_poly))
-                q_poly[shift] = coef
-                for i, ci in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - coef * ci) % p
-                rem = _poly_trim(rem)
-            r0, r1 = r1, rem
-            qs = _poly_mul(q_poly, s1, p)
-            new_s = [(a - b) % p for a, b in _zip_pad(s0, qs)]
-            s0, s1 = s1, _poly_trim(new_s)
-        # gcd must be a unit since the modulus is irreducible
-        assert len(r0) == 1
-        c = pow(r0[0], -1, p)
-        return self._pad([(c * si) % p for si in s0])
+        # x^(|E| - 2) by square-and-multiply: E^x has order |E| - 1
+        out, k = self._pad([1]), self.element_count() - 2
+        while k:
+            if k & 1:
+                out = self._mul(out, x)
+            x = self._mul(x, x)
+            k >>= 1
+        return out
 
     def _format(self, x) -> str:
-        if self.kind == "rational":
-            return f"{x[0]}+{x[1]}*sqrt({self.tau})"
         return str(list(x))
 
-    # -- involution, norm, base field -------------------------------------
-
     def sigma(self, x: ExtElement) -> ExtElement:
-        if self.kind == "rational":
-            a, b = x.payload
-            return ExtElement(self, (a, -b))
         out = [0] * self.degree
         p = self.p
         for i, ci in enumerate(x.payload):
@@ -449,54 +481,17 @@ class QuadraticExtensionModel:
                     out[t_i] = (out[t_i] + ci * row[t_i]) % p
         return ExtElement(self, tuple(out))
 
-    def norm(self, x: ExtElement) -> ExtElement:
-        """x * sigma(x); always lands in the base field."""
-        return x * self.sigma(x)
-
-    def in_base_field(self, x: ExtElement) -> bool:
-        return self.sigma(x) == x
-
-    # -- coordinates used by the exact linear algebra ----------------------
-
     def prime_basis(self) -> list[ExtElement]:
-        """Basis of E over Q (rational) or over F_p (finite).
+        """The monomial basis 1, x, ..., x^(2e-1) of E over F_p."""
+        return [self.element_from_index(self.p**i)
+                for i in range(self.degree)]
 
-        All linear-algebra flattening happens relative to this basis; for
-        the finite model, dimensions over F_q are recovered by dividing
-        prime-field dimensions by e (see linalg.FLinearSystem).
-        """
-        if self.kind == "rational":
-            return [self.one, self.gen]
-        basis = []
-        for i in range(self.degree):
-            c = [0] * self.degree
-            c[i] = 1
-            basis.append(ExtElement(self, tuple(c)))
-        return basis
-
-    def prime_coords(self, x: ExtElement):
-        """(a, b) of ints/Fractions, or a coefficient tuple over F_p."""
-        return x.payload
-
-    @property
-    def prime_dim_per_e_dim(self) -> int:
-        return 2 if self.kind == "rational" else self.degree
-
-    @property
-    def subfield_degree(self) -> int:
-        """[F : prime field]; the single conversion factor for F-dimensions."""
-        return 1 if self.kind == "rational" else self.e
-
-    # -- element enumeration (finite model) --------------------------------
+    # -- element enumeration -----------------------------------------------
 
     def element_count(self) -> int:
-        if self.kind != "finite":
-            raise FieldModelError("infinite field")
         return self.p**self.degree
 
     def element_from_index(self, idx: int) -> ExtElement:
-        if self.kind != "finite":
-            raise FieldModelError("indexing needs the finite model")
         coeffs = []
         for _ in range(self.degree):
             coeffs.append(idx % self.p)
@@ -514,22 +509,14 @@ class QuadraticExtensionModel:
             yield self.element_from_index(i)
 
     def random_element(self, rng) -> ExtElement:
-        if self.kind != "finite":
-            raise FieldModelError("uniform sampling needs the finite model")
         return self.element_from_index(rng.randrange(self.element_count()))
 
-    # -- JSON wire format ---------------------------------------------------
+    # -- JSON wire format: the element index ---------------------------------
 
     def element_to_json(self, x: ExtElement):
-        if self.kind == "rational":
-            a, b = x.payload
-            return {"a": str(a) if a.denominator != 1 else a.numerator,
-                    "b": str(b) if b.denominator != 1 else b.numerator}
         return self.element_index(x)
 
     def element_from_json(self, data) -> ExtElement:
-        if self.kind == "rational":
-            return self.el(Fraction(str(data["a"])), Fraction(str(data["b"])))
         return self.element_from_index(int(data))
 
 
@@ -546,7 +533,7 @@ def make_extension(spec) -> QuadraticExtensionModel:
         tau = _rat(str(spec.get("tau", 2)))
         if _fraction_is_square(tau):
             raise RadicandIsSquare(f"tau={tau} is a square in Q")
-        return QuadraticExtensionModel("rational", tau=tau)
+        return RationalModel(tau)
     if kind == "finite":
         p = int(spec["p"])
         e = int(spec.get("e", 1))
@@ -554,7 +541,7 @@ def make_extension(spec) -> QuadraticExtensionModel:
             raise NotPrime(f"p={p} is not prime")
         if e < 1:
             raise FieldModelError(f"e={e} must be >= 1")
-        return QuadraticExtensionModel("finite", p=p, e=e)
+        return FiniteModel(p, e)
     raise FieldModelError(f"unknown kind {kind!r}")
 
 

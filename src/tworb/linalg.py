@@ -104,38 +104,12 @@ def mat_is_zero(a: Matrix) -> bool:
 
 
 def mat_rank(a: Matrix) -> int:
-    """Rank over E, by division-free elimination.
+    """Rank over E, by division-free elimination (see _rank).
 
-    Each row below the pivot becomes piv * row - f * pivot_row, so no
-    inverse is taken; over the domain Z[sqrt(tau)] the entries stay ints,
-    and its rank equals the rank over the fraction field E.  Entries left
-    of the pivot column are never read again and are not updated.
+    Over the domain Z[sqrt(tau)] the entries stay ints, and its rank
+    equals the rank over the fraction field E.
     """
-    rows = [list(r) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        tail = rows[rank][col + 1:]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            if f:
-                ri[col + 1:] = [pval * x - f * y
-                                for x, y in zip(ri[col + 1:], tail)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return _rank([list(r) for r in a])
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -235,68 +209,55 @@ def is_nilpotent(y: TwistedEndo) -> bool:
 # exact rank / kernel over the base field
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination.
+def _rank(rows: list[list], reduce=None) -> int:
+    """Rank of a matrix over a domain, by division-free elimination.
 
     Eliminates in place, so ``rows`` is consumed.  Only rows with a
     nonzero entry in the pivot column change: each becomes
-    piv * row - f * pivot_row, divided by the gcd of its entries, which
-    divides every entry exactly and keeps them small.
+    piv * row - f * pivot_row on the columns right of the pivot, passed
+    through ``reduce`` when one is given.  No inverse is taken, and
+    entries left of the pivot column are never read again.
     """
-    m = rows
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     rank = 0
     for col in range(ncols):
-        piv = None
         for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
+            if rows[i][col]:
                 break
-        if piv is None:
+        else:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pval = m[rank][col]
-        tail = m[rank][col + 1:]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pval = rows[rank][col]
+        tail = rows[rank][col + 1:]
+        for ri in rows[rank + 1:]:
             f = ri[col]
             if f:
                 new = [pval * x - f * y for x, y in zip(ri[col + 1:], tail)]
-                g = math.gcd(*new)
-                ri[col + 1:] = [x // g for x in new] if g > 1 else new
+                ri[col + 1:] = new if reduce is None else reduce(new)
         rank += 1
         if rank == nrows:
             break
     return rank
+
+
+def _content_free(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rank_int(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, consuming ``rows``: fraction-free
+    elimination that divides each updated row by the gcd of its entries,
+    which divides every entry exactly and keeps them small."""
+    return _rank(rows, _content_free)
 
 
 def _rank_modp(rows: list[list[int]], p: int) -> int:
-    m = [[x % p for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        rr = m[rank]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            if f:
-                ri = m[i]
-                m[i] = [(x - f * y) % p for x, y in zip(ri, rr)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    def mod_p(row):
+        return [x % p for x in row]
+
+    return _rank([mod_p(r) for r in rows], mod_p)
 
 
 def _scale_rows_to_int(rows) -> list[list[int]]:
@@ -409,6 +370,6 @@ def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
         rows=tuple(rows),
         domain_dim_F=len(domain_positions) * per // e,
         codomain_dim_F=n * n * per // e,
-        char=0 if model.kind == "rational" else model.p,
+        char=model.char,
         subfield_degree=e,
     )

@@ -64,13 +64,12 @@ def flatten_map(model, n: int, domain_positions, fn,
                 col.extend(model.prime_coords(img[i][j]))
             cols.append(col)
     e = model.subfield_degree
-    char = 0 if model.kind == "rational" else model.p
     # orientation is irrelevant for rank; store basis vectors as rows
     return FLinearSystem(
         rows=tuple(tuple(c) for c in cols),
         domain_dim_F=len(domain_positions) * per // e,
         codomain_dim_F=len(codomain_positions) * per // e,
-        char=char,
+        char=model.char,
         subfield_degree=e,
     )
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworb.fields import (FieldModelError, NotPrime, RadicandIsSquare,
-                          make_extension, norm, sigma)
+from tworb.fields import (FieldModelError, FiniteModel, NotPrime,
+                          QuadraticExtensionModel, RadicandIsSquare,
+                          RationalModel, make_extension, norm, sigma)
+from tworb.linalg import TwistedEndo
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
@@ -106,7 +108,10 @@ def test_finite_e2_model():
 
 
 def test_inverses_exhaustive_small_fields():
-    for model in (F4, F9):
+    # the inverse is x^(q^2 - 2); F_16 and F_81 have e = 2, F_25 has p = 5
+    f16, f25, f81 = (make_extension({"kind": "finite", "p": p, "e": e})
+                     for p, e in ((2, 2), (5, 1), (3, 2)))
+    for model in (F4, F9, f16, f25, f81):
         for x in model.elements():
             if x:
                 assert x * x.inverse() == model.one
@@ -175,6 +180,21 @@ def test_equal_models_from_separate_calls_combine():
     assert rat2.gen * RAT.gen == rat2.from_int(2)
     f9 = make_extension({"kind": "finite", "p": 3, "e": 1})
     assert F9.gen * f9.gen == f9.gen * F9.gen
+    # the kind is decided once: one class per model, one shared base
+    assert type(RAT) is RationalModel and type(F9) is FiniteModel
+    assert all(isinstance(m, QuadraticExtensionModel) for m in (RAT, F9))
+    assert hash(rat2) == hash(RAT) and hash(f9) == hash(F9)
+    assert RAT != F9 and F4 != F9
+    # reports and TwistedEndo reprs print the model repr
+    assert repr(RAT) == "QuadraticExtensionModel(Q(sqrt(2)))"
+    assert repr(F9) == "QuadraticExtensionModel(F_9/F_3)"
+    f16 = make_extension({"kind": "finite", "p": 2, "e": 2})
+    assert repr(f16) == "QuadraticExtensionModel(F_16/F_4)"
+    half = make_extension({"kind": "rational", "tau": "1/2"})
+    assert repr(half) == "QuadraticExtensionModel(Q(sqrt(1/2)))"
+    assert repr(TwistedEndo.from_rows(F9, [[1]])) == (
+        "TwistedEndo(model=QuadraticExtensionModel(F_9/F_3), n=1, "
+        "mat=((ExtElement([1, 0]),),))")
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
