@@ -112,27 +112,63 @@ def mat_rank(a: Matrix) -> int:
     return _rank([list(r) for r in a])
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    model = a[0][0].model
-    work = [list(row) + list(idrow)
-            for row, idrow in zip(a, mat_identity(model, n))]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
+def row_echelon(rows) -> Matrix:
+    """Reduced row-echelon form over E of the span of ``rows``.
+
+    Its rows are the nonzero ones left by Gauss-Jordan elimination: each
+    has leading entry one, and every other row is zero in that column.
+    The form depends on the span only, so it is the span's hashable key.
+    A pivot row is zero left of its pivot column, so each step touches
+    only the columns from the pivot on.
+    """
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        for i in range(rank, len(work)):
             if work[i][col]:
-                piv = i
                 break
-        if piv is None:
-            raise SingularMatrix("matrix over E is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+        else:
+            continue
+        work[rank], work[i] = work[i], work[rank]
+        inv = work[rank][col].inverse()
+        tail = [x * inv for x in work[rank][col:]]
+        work[rank][col:] = tail
+        for k, row in enumerate(work):
+            f = row[col]
+            if f and k != rank:
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+        rank += 1
+    return tuple(tuple(r) for r in work[:rank])
+
+
+def reduce_row(basis: Matrix, row) -> list:
+    """``row`` less its part in the span of ``basis``, a row_echelon form.
+
+    Each basis row is subtracted at its leading column, where the others
+    are zero, so one pass suffices: the result is zero exactly when
+    ``row`` lies in the span.
+    """
+    cur = list(row)
+    for b in basis:
+        lead = next(j for j, x in enumerate(b) if x)
+        f = cur[lead]
+        if f:
+            cur[lead:] = [x - f * y for x, y in zip(cur[lead:], b[lead:])]
+    return cur
+
+
+def mat_inv(a: Matrix) -> Matrix:
+    """Inverse over E: the row_echelon form of [A | I] is [I | A^-1].
+
+    [A | I] has rank n, so its form has n rows; A is singular exactly
+    when the last of them has its leading one right of column n - 1.
+    """
+    n = len(a)
+    form = row_echelon([[*row, *idrow] for row, idrow in
+                        zip(a, mat_identity(a[0][0].model, n))])
+    if not form[-1][n - 1]:
+        raise SingularMatrix("matrix over E is singular")
+    return tuple(row[n:] for row in form)
 
 
 # ---------------------------------------------------------------------------

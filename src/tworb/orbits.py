@@ -18,7 +18,7 @@ from .linalg import (NotNilpotent, TwistedEndo, bracket_system, is_nilpotent,
                      mat_eq, mat_mul, mat_rank, mat_sigma, twisted_power)
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 

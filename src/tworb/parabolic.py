@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass, field
 
 from .fields import QuadraticExtensionModel
-from .linalg import TwistedEndo, bracket_system, mat_add, mat_rank
+from .linalg import (TwistedEndo, bracket_system, mat_add, reduce_row,
+                     row_echelon)
 from .orbits import (JordanType, jordan_type_of, orbit_dimension,
                      standard_representative)
 
@@ -114,10 +115,6 @@ class AdaptedParabolic:
     u_mask: frozenset
 
     @property
-    def dim_F_m(self) -> int:
-        return 2 * len(self.m_mask)
-
-    @property
     def dim_F_n(self) -> int:
         return 2 * len(self.n_mask)
 
@@ -127,8 +124,6 @@ class AdaptedParabolic:
 
 
 def adapted_parabolic(t: JordanType) -> AdaptedParabolic:
-    if t.n < 1:
-        raise ValueError("adapted_parabolic needs n >= 1")
     d = t.multiplicities()
     groups = []
     offset = 0
@@ -164,8 +159,6 @@ def n_x_dim_oracle(t: JordanType, model: QuadraticExtensionModel) -> int:
     """F-dimension of the centralizer of the representative inside n."""
     ad = adapted_parabolic(t)
     x = standard_representative(t, model)
-    if not ad.n_mask:
-        return 0
     return bracket_system(x, sorted(ad.n_mask)).kernel_dim_F()
 
 
@@ -192,9 +185,11 @@ def _expected_rank(shape: ParabolicShape, x: TwistedEndo) -> int:
     return m_orbit_tangent_dim(shape, x) + shape.dim_F_sN
 
 
-def _sample_rank(shape: ParabolicShape, w: TwistedEndo) -> int:
-    """dim_F [p, W] for a sample W = X + Y."""
-    return bracket_system(w, sorted(shape.p_mask)).rank_F()
+def _sample_rank(shape: ParabolicShape, x: TwistedEndo,
+                 y: TwistedEndo) -> tuple[TwistedEndo, int]:
+    """The sample W = X + Y and dim_F [p, W]."""
+    w = TwistedEndo(x.model, x.n, mat_add(x.mat, y.mat))
+    return w, bracket_system(w, sorted(shape.p_mask)).rank_F()
 
 
 def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
@@ -202,8 +197,7 @@ def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
     """Tangent-space equality [p, X+Y] = [m_P, X] + s_N, by exact ranks."""
     expected = _expected_rank(shape, x)
     _check_support(y, shape.n_mask, "Y")
-    w = TwistedEndo(x.model, x.n, mat_add(x.mat, y.mat))
-    return _sample_rank(shape, w) == expected
+    return _sample_rank(shape, x, y)[1] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +217,15 @@ def sample_s_n(shape: ParabolicShape, model: QuadraticExtensionModel,
         else:
             rows[a][b] = model.random_element(rng)
     return TwistedEndo(model, n, tuple(tuple(r) for r in rows))
+
+
+def _ranked_samples(shape: ParabolicShape, x: TwistedEndo, seed: int,
+                    trials: int):
+    """Yield (W, dim_F [p, W]) for ``trials`` samples W = X + Y, each Y
+    drawn by sample_s_n from one random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield _sample_rank(shape, x, sample_s_n(shape, x.model, rng))
 
 
 def blockwise_representative(shape: ParabolicShape, m_types,
@@ -261,16 +264,12 @@ def induce_orbit_report(shape: ParabolicShape, m_types,
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
     expected = _expected_rank(shape, x)
-    rng = random.Random(seed)
     ranks = []
-    for trial in range(1, max_trials + 1):
-        y = sample_s_n(shape, model, rng)
-        _check_support(y, shape.n_mask, "Y")
-        w = TwistedEndo(model, shape.n, mat_add(x.mat, y.mat))
-        rank = _sample_rank(shape, w)
+    for w, rank in _ranked_samples(shape, x, seed, max_trials):
         if rank == expected:
             return InductionReport(shape.composition, m_types,
-                                   jordan_type_of(w), trial, len(ranks))
+                                   jordan_type_of(w), len(ranks) + 1,
+                                   len(ranks))
         ranks.append(rank)
     raise GenericityFailure(
         f"no certified sample in {max_trials} trials for {shape.composition}:"
@@ -337,15 +336,12 @@ def verify_porb(shape: ParabolicShape, m_types,
     The report is ok only if that type is also induced_row_sum(m_types)."""
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
-    rng = random.Random(seed)
     report = PorbReport(shape.composition, m_types, trials)
     expected = _expected_rank(shape, x)
     induced_dim = (sum(orbit_dimension(t).dim_orbit_F for t in m_types)
                    + 2 * shape.dim_F_sN)
-    for _ in range(trials):
-        y = sample_s_n(shape, model, rng)
-        w = TwistedEndo(model, shape.n, mat_add(x.mat, y.mat))
-        if _sample_rank(shape, w) != expected:
+    for w, rank in _ranked_samples(shape, x, seed, trials):
+        if rank != expected:
             report.failures += 1
             continue
         report.certified_trials += 1
@@ -364,50 +360,18 @@ def verify_porb(shape: ParabolicShape, m_types,
 # flag point-count oracle (tests the stable-flag reading of B_Y)
 
 
-def _echelon(vectors):
-    """Reduced echelon basis of the span; canonical, hence hashable."""
-    basis = []  # (lead column, row) with rows as lists of ExtElement
-    for row in vectors:
-        cur = list(row)
-        for lead, b in basis:
-            if cur[lead]:
-                f = cur[lead]
-                cur = [x - f * y for x, y in zip(cur, b)]
-        leads = [j for j, x in enumerate(cur) if x]
-        if not leads:
-            continue
-        lead = leads[0]
-        inv = cur[lead].inverse()
-        basis.append((lead, [x * inv for x in cur]))
-        basis.sort(key=lambda lb: lb[0])
-        for k, (lk, bk) in enumerate(basis):
-            for lo, bo in basis:
-                if lo != lk and bk[lo]:
-                    f = bk[lo]
-                    bk = [x - f * y for x, y in zip(bk, bo)]
-            basis[k] = (lk, bk)
-    return tuple(tuple(b) for _, b in basis)
-
-
-def _span_contains(basis_rows, vec) -> bool:
-    if not basis_rows:
-        return all(not x for x in vec)
-    base = tuple(tuple(r) for r in basis_rows)
-    return mat_rank(base) == mat_rank(base + (tuple(vec),))
-
-
 def flag_fixed_count(y: TwistedEndo) -> int:
     """Number of complete E-flags with every step stable under v -> Y sigma(v).
 
     Exhaustive enumeration; needs the finite model and small n.  This is
     the point-count oracle behind the Springer-dimension formula and the
-    stable-flag reading of the fixed-flag condition.
+    stable-flag reading of the fixed-flag condition.  Each step is keyed
+    by its row_echelon form.  A step V' = V + <r> over a stable V is
+    stable iff it contains Y sigma(r), since the map is sigma-semilinear.
     """
     model, n = y.model, y.n
     if model.kind != "finite":
         raise ValueError("flag counting needs the finite model")
-    if n == 1:
-        return 1
     elems = list(model.elements())
 
     def apply_x(vec):
@@ -415,41 +379,25 @@ def flag_fixed_count(y: TwistedEndo) -> int:
         return [sum((y.mat[i][j] * sv[j] for j in range(1, n)),
                     start=y.mat[i][0] * sv[0]) for i in range(n)]
 
-    def all_vectors():
-        for combo in itertools.product(range(len(elems)), repeat=n):
-            yield [elems[i] for i in combo]
-
-    def is_stable(rows):
-        return all(_span_contains(rows, apply_x(list(b))) for b in rows)
-
-    def count_from(rows, dim):
-        if dim == n - 1:
+    def count_from(rows):
+        """Stable flags through the stable span with echelon form rows."""
+        if len(rows) == n - 1:
             return 1
         total = 0
         seen = set()
-        for w in all_vectors():
-            if _span_contains(rows, w):
+        for w in itertools.product(elems, repeat=n):
+            r = reduce_row(rows, w)
+            if not any(r):
                 continue
-            key = _echelon(list(rows) + [w])
+            key = row_echelon(rows + (r,))
             if key in seen:
                 continue
             seen.add(key)
-            if is_stable(key):
-                total += count_from(key, dim + 1)
+            if not any(reduce_row(key, apply_x(r))):
+                total += count_from(key)
         return total
 
-    total = 0
-    seen = set()
-    for w in all_vectors():
-        if all(not x for x in w):
-            continue
-        key = _echelon([w])
-        if key in seen:
-            continue
-        seen.add(key)
-        if is_stable(key):
-            total += count_from(key, 1)
-    return total
+    return count_from(())
 
 
 def induced_row_sum(m_types) -> JordanType:

@@ -63,8 +63,6 @@ def exponent_table(t: JordanType) -> ExponentTable:
 
 
 def dim_F_uX(t: JordanType) -> int:
-    if t.n == 0:
-        return 0
     return adapted_parabolic(t).dim_F_uX
 
 
@@ -98,9 +96,8 @@ def delta_matrix(t: JordanType, blocks: dict,
     if set(blocks) != expected:
         raise ShapeMismatch(
             f"blocks keyed {sorted(blocks)} but need {sorted(expected)}")
-    ad = adapted_parabolic(t) if t.n else None
     offsets = {(i, j): (off, size) for (i, j, off, size) in
-               (ad.groups if ad else ())}
+               adapted_parabolic(t).groups}
     z = model.zero
     n = t.n
     rows = [[z] * n for _ in range(n)]

@@ -119,6 +119,17 @@ def test_bad_budget_exits_2(capsys):
     assert main(["orbits", "--n", "2", "--trials", "0"]) == 2
 
 
+def test_census_over_budget_exits_2(capsys):
+    # 3^8 = 6561 matrices in gl_2(F_9) exceed a budget of 10
+    assert main(["verify", "census", "--n", "2", "--q", "3",
+                 "--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: 6561 matrices exceed "
+                            "budget 10; pass sample_size for seeded "
+                            "sampling\n")
+
+
 def test_square_tau_exits_2(capsys):
     assert main(["orbits", "--n", "2", "--tau", "4"]) == 2
 

@@ -17,8 +17,8 @@ from tworb.fields import make_extension
 from tworb.linalg import (NotNilpotent, SingularMatrix, TwistedEndo, _rank_int,
                           bracket_system, is_nilpotent, mat_eq,
                           mat_from_rows, mat_identity, mat_inv, mat_mul,
-                          mat_rank, mat_sigma, sigma_conjugate,
-                          twisted_bracket, twisted_power)
+                          mat_rank, mat_sigma, reduce_row, row_echelon,
+                          sigma_conjugate, twisted_bracket, twisted_power)
 from tworb.orbits import (JordanType, enumerate_orbits, jordan_type_of,
                           standard_representative)
 from tworb.parabolic import standard_parabolic
@@ -587,6 +587,138 @@ def test_mat_rank_takes_no_inverse(monkeypatch):
 
     monkeypatch.setattr(fields.ExtElement, "inverse", no_inverse)
     assert mat_rank(a) == want
+
+
+# ---------------------------------------------------------------------------
+# the reduced row-echelon form: the key of a span, and mat_inv
+
+ECHELON_MODELS = [RAT, F9, F16]
+
+
+def _units(model):
+    if model is RAT:
+        coord = st.one_of(st.integers(-4, 4),
+                          st.fractions(-2, 2, max_denominator=3))
+        return st.builds(RAT.el, coord, coord).filter(bool)
+    return st.integers(1, model.element_count() - 1).map(
+        model.element_from_index)
+
+
+def _assert_reduced_echelon(form):
+    leads = [next(j for j, x in enumerate(r) if x) for r in form]
+    assert leads == sorted(set(leads))
+    for k, (lead, row) in enumerate(zip(leads, form)):
+        assert row[lead] == row[lead].model.one
+        assert not any(other[lead] for i, other in enumerate(form) if i != k)
+
+
+@st.composite
+def regenerated_spans(draw):
+    """Generators of a span over Q(sqrt 2), F_9 or F_16, and the same
+    span's generators shuffled, each scaled by a unit, plus one more
+    E-combination of them."""
+    model = draw(st.sampled_from(ECHELON_MODELS))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(e_matrices(model, nrows, ncols))
+    el = _elements(model)
+    order = draw(st.permutations(range(nrows)))
+    again = [tuple(c * x for x in rows[i])
+             for i, c in zip(order, draw(st.lists(
+                 _units(model), min_size=nrows, max_size=nrows)))]
+    extra = [model.zero] * ncols
+    for r in rows:
+        c = draw(el)
+        extra = [x + c * y for x, y in zip(extra, r)]
+    again.insert(draw(st.integers(0, nrows)), tuple(extra))
+    return rows, tuple(again)
+
+
+@given(regenerated_spans())
+@example((mat_from_rows(RAT, [[0, 2, 4], [1, 0, 1], [1, 1, 3]]),
+          mat_from_rows(RAT, [[1, 1, 3], [0, (0, 1), (0, 2)], [3, 0, 3]])))
+@example((mat_from_rows(F9, [[2, 1], [1, 2]]),
+          mat_from_rows(F9, [[1, 2], [0, 0], [1, 2]])))
+@settings(max_examples=200, deadline=None)
+def test_row_echelon_is_a_key_of_the_span(spans):
+    rows, again = spans
+    form = row_echelon(rows)
+    _assert_reduced_echelon(form)
+    assert len(form) == mat_rank(rows)
+    assert row_echelon(again) == form
+    assert hash(row_echelon(again)) == hash(form)
+
+
+@st.composite
+def rows_against_spans(draw):
+    """A matrix over Q(sqrt 2), F_9 or F_16 and a row, half the time an
+    E-combination of its rows."""
+    model = draw(st.sampled_from(ECHELON_MODELS))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(e_matrices(model, nrows, ncols))
+    el = _elements(model)
+    if draw(st.booleans()):
+        row = [model.zero] * ncols
+        for r in rows:
+            c = draw(el)
+            row = [x + c * y for x, y in zip(row, r)]
+    else:
+        row = draw(st.lists(el, min_size=ncols, max_size=ncols))
+    return rows, tuple(row)
+
+
+@given(rows_against_spans())
+# a multiple of the pivot row, and over F_9 a multiple by 2 = -1
+@example((mat_from_rows(RAT, [[2, 4], [0, 0]]),
+          mat_from_rows(RAT, [[3, 6]])[0]))
+@example((mat_from_rows(F9, [[0, 2, 1]]), mat_from_rows(F9, [[0, 1, 2]])[0]))
+@settings(max_examples=200, deadline=None)
+def test_reduced_row_is_zero_exactly_inside_the_span(case):
+    rows, row = case
+    form = row_echelon(rows)
+    assert any(reduce_row(form, row)) == \
+        (mat_rank(rows + (row,)) > mat_rank(rows))
+    # each row of the form is zero in the other rows' leading columns
+    for k, b in enumerate(form):
+        assert reduce_row(form[:k] + form[k + 1:], b) == list(b)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices over Q(sqrt 2), F_9 or F_16: half of them rows
+    permuted from L * U, L lower unitriangular and U upper triangular
+    with units on its diagonal, hence invertible; the others mostly
+    singular."""
+    model = draw(st.sampled_from(ECHELON_MODELS))
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return model, draw(e_matrices(model, n, n))
+    el, unit = _elements(model), _units(model)
+    lower = [[model.one if i == j else draw(el) if j < i else model.zero
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(unit) if i == j else draw(el) if j > i else model.zero
+              for j in range(n)] for i in range(n)]
+    a = mat_mul(tuple(map(tuple, lower)), tuple(map(tuple, upper)))
+    return model, tuple(draw(st.permutations(a)))
+
+
+@given(square_matrices())
+# invertible and upper triangular: only back-substitution clears column 1
+@example((RAT, mat_from_rows(RAT, [[2, 1], [0, 1]])))
+# the first pivot is found and the last is missing
+@example((RAT, mat_from_rows(RAT, [[1, 2], [2, 4]])))
+@example((F16, mat_from_rows(F16, [[0, 1, 0], [0, 0, 1], [0, 1, 1]])))
+@example((F9, mat_from_rows(F9, [[0, 1], [1, 0]])))
+@settings(max_examples=200, deadline=None)
+def test_mat_inv_round_trips_or_raises_singular(case):
+    model, a = case
+    n = len(a)
+    if mat_rank(a) < n:
+        with pytest.raises(SingularMatrix):
+            mat_inv(a)
+        return
+    inv = mat_inv(a)
+    assert mat_eq(mat_mul(a, inv), mat_identity(model, n))
+    assert mat_eq(mat_mul(inv, a), mat_identity(model, n))
 
 
 @st.composite

@@ -21,6 +21,7 @@ from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
+F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
 F101 = make_extension({"kind": "finite", "p": 101, "e": 1})
 
 
@@ -306,6 +307,25 @@ def test_only_a_failing_porb_case_lists_the_types_seen(monkeypatch):
     assert list(payload)[:-1] == list(good.to_json())
 
 
+def test_verify_porb_draws_trials_samples_and_ranks_the_levi_once(
+        monkeypatch):
+    import tworb.parabolic as parabolic
+
+    samples, levi_ranks = [], []
+    real_sample, real_dim = parabolic.sample_s_n, parabolic.m_orbit_tangent_dim
+    monkeypatch.setattr(
+        parabolic, "sample_s_n",
+        lambda *args: samples.append(1) or real_sample(*args))
+    monkeypatch.setattr(
+        parabolic, "m_orbit_tangent_dim",
+        lambda *args: levi_ranks.append(1) or real_dim(*args))
+    report = verify_porb(standard_parabolic((2, 1)), [T(2), T(1)], RAT,
+                         trials=7, seed=4)
+    assert report.ok and report.trials == 7
+    assert len(samples) == 7
+    assert len(levi_ranks) == 1
+
+
 def test_induced_row_sum():
     assert induced_row_sum([T(2, 1), T(1, 1, 1), T(3)]) == T(6, 2, 1)
     assert induced_row_sum([T(1)]) == T(1)
@@ -352,6 +372,14 @@ def test_flag_counts_q2():
     assert flag_fixed_count(standard_representative(T(2, 1), F4)) == 9
     assert flag_fixed_count(standard_representative(T(1, 1, 1), F4)) == 105
     assert flag_fixed_count(standard_representative(T(3), F4)) == 1
+
+
+def test_flag_counts_over_an_odd_prime():
+    # E = F_9: the zero map of E^2 fixes its Q + 1 = 10 lines; on
+    # (2, 1) the fixed flags number 2Q + 1 = 19
+    assert flag_fixed_count(standard_representative(T(2), F9)) == 1
+    assert flag_fixed_count(standard_representative(T(1, 1), F9)) == 10
+    assert flag_fixed_count(standard_representative(T(2, 1), F9)) == 19
 
 
 def test_flag_count_degree_matches_springer_dim():
