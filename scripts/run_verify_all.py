@@ -23,24 +23,29 @@ CONFIGS = {
 }
 
 
+# runs beyond one per suite: census at q = 3 per the acceptance, and porb
+# at n <= 5 over Q(sqrt 2) and over F_3
+EXTRA = [
+    ("census q=3", "census", RunConfig(n=2, q=3)),
+    ("porb n<=5", "porb", RunConfig(n_max=5, trials=20, seed=1)),
+    ("porb F_3 n<=5", "porb", RunConfig(
+        field={"kind": "finite", "p": 3, "e": 1}, n_max=5, trials=20,
+        seed=1)),
+]
+
+
 def main() -> int:
     failures = 0
-    for suite in SUITES:
-        cfg = CONFIGS.get(suite, RunConfig())
+    runs = [(suite, suite, CONFIGS.get(suite, RunConfig()))
+            for suite in SUITES] + EXTRA
+    for label, suite, cfg in runs:
         started = time.perf_counter()
         code, report = cmd_verify(suite, cfg)
         status = "PASS" if code == 0 else "FAIL"
-        print(f"{status}  {suite:12s}  {report['passed']:4d} passed  "
+        print(f"{status}  {label:14s}  {report['passed']:4d} passed  "
               f"{report['failed']:2d} failed  "
               f"[{time.perf_counter() - started:6.1f}s]")
         failures += report["failed"]
-    # the census suite above runs q = 2; repeat at q = 3 per the acceptance
-    started = time.perf_counter()
-    code, report = cmd_verify("census", RunConfig(n=2, q=3))
-    print(f"{'PASS' if code == 0 else 'FAIL'}  census q=3    "
-          f"{report['passed']:4d} passed  {report['failed']:2d} failed  "
-          f"[{time.perf_counter() - started:6.1f}s]")
-    failures += report["failed"]
     return 1 if failures else 0
 
 

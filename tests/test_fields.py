@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworb.fields import (FieldModelError, FiniteModel, NotPrime,
+from tworb.fields import (ExtElement, FieldModelError, FiniteModel, NotPrime,
                           QuadraticExtensionModel, RadicandIsSquare,
-                          RationalModel, make_extension, norm, sigma)
+                          RationalElement, RationalModel, make_extension,
+                          norm, sigma)
 from tworb.linalg import TwistedEndo
 
 RAT = make_extension({"kind": "rational", "tau": 2})
@@ -249,3 +250,71 @@ def test_field_axioms_spot_finite(x, y):
     assert x * y == y * x
     if y:
         assert (x * y) / y == x
+
+
+# -- RationalElement against the reference formula on Fractions --------------
+
+# payload coordinates: ints, non-integral Fractions, and integral Fractions
+# such as arithmetic on Fractions leaves behind
+payload_coords = st.one_of(st.integers(-6, 6), small_fracs,
+                           st.integers(-6, 6).map(Fraction))
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c + RAT.tau * b * d, a * d + b * c)
+
+
+@given(payload_coords, payload_coords, payload_coords, payload_coords,
+       st.integers(-5, 5))
+def test_rational_element_matches_reference_formula(a, b, c, d, m):
+    x, y = RationalElement(RAT, (a, b)), RationalElement(RAT, (c, d))
+    fx, fy = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))
+    fm = (Fraction(m), Fraction(0))
+    cases = [
+        (x + y, (fx[0] + fy[0], fx[1] + fy[1])),
+        (x - y, (fx[0] - fy[0], fx[1] - fy[1])),
+        (x * y, _ref_mul(fx, fy)),
+        (-x, (-fx[0], -fx[1])),
+        (x + m, (fx[0] + m, fx[1])),
+        (m + x, (fx[0] + m, fx[1])),
+        (x - m, (fx[0] - m, fx[1])),
+        (m - x, (m - fx[0], -fx[1])),
+        (x * m, _ref_mul(fx, fm)),
+        (m * x, _ref_mul(fm, fx)),
+    ]
+    for got, want in cases:
+        assert type(got) is RationalElement and got.model is RAT
+        assert got.payload == want
+    assert bool(x) is (fx != (0, 0))
+    if all(type(v) is int for v in (a, b, c, d)):
+        # Z[sqrt(tau)] computes in plain ints
+        for got, _ in cases:
+            assert all(type(v) is int for v in got.payload)
+
+
+def test_rational_elements_have_their_own_class():
+    assert type(RAT.one) is RationalElement and type(RAT.gen) is RationalElement
+    assert type(sigma(RAT.gen)) is RationalElement
+    assert type(RAT.el(3, 2).inverse()) is RationalElement
+    # finite elements keep the base class, which delegates to FiniteModel
+    assert type(F9.one) is ExtElement and type(F9.gen.inverse()) is ExtElement
+    # repr and hash are the base class's
+    assert repr(RAT.gen) == "ExtElement(0+1*sqrt(2))"
+    assert hash(RAT.el(Fraction(1, 2), 3)) == hash((Fraction(1, 2), 3))
+
+
+def test_rational_element_rejects_other_operands():
+    x = RAT.gen
+    for other in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other * x
+        with pytest.raises(TypeError):
+            other - x
+    # an element of another model is rejected even off the fast path
+    with pytest.raises(FieldModelError):
+        x + F9.one
+    with pytest.raises(FieldModelError):
+        F9.one * x

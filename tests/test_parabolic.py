@@ -374,6 +374,25 @@ def test_flag_counts_q2():
     assert flag_fixed_count(standard_representative(T(3), F4)) == 1
 
 
+def test_flag_count_inverts_only_pivots_that_are_not_one(monkeypatch):
+    # row_echelon runs on an echelon basis plus one reduced vector; the
+    # basis rows' leading ones are neither inverted nor scaled, which
+    # leaves 882 of the 2,583 pivots that (1, 1, 1) over F_4 meets
+    import tworb.fields as fields
+
+    inverted = []
+    real = fields.ExtElement.inverse
+
+    def spy(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(fields.ExtElement, "inverse", spy)
+    assert flag_fixed_count(standard_representative(T(1, 1, 1), F4)) == 105
+    assert len(inverted) == 882
+    assert all(x != F4.one for x in inverted)
+
+
 def test_flag_counts_over_an_odd_prime():
     # E = F_9: the zero map of E^2 fixes its Q + 1 = 10 lines; on
     # (2, 1) the fixed flags number 2Q + 1 = 19
