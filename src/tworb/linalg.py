@@ -252,17 +252,20 @@ def is_nilpotent(y: TwistedEndo) -> bool:
 # exact rank / kernel over the base field
 
 
-def _rank(rows: list[list], reduce=None) -> int:
+def _rank(rows: list[list], reduce=None, ncols=None) -> int:
     """Rank of a matrix over a domain, by division-free elimination.
 
     Eliminates in place, so ``rows`` is consumed.  Only rows with a
     nonzero entry in the pivot column change: each becomes
     piv * row - f * pivot_row on the columns right of the pivot, passed
     through ``reduce`` when one is given.  No inverse is taken, and
-    entries left of the pivot column are never read again.
+    entries left of the pivot column are never read again.  Pivots are
+    sought in the first ``ncols`` columns only (all by default); any
+    columns after them are carried along by the same row operations.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if nrows else 0
     rank = 0
     for col in range(ncols):
         for i in range(rank, nrows):
@@ -296,10 +299,15 @@ def _rank_int(rows: list[list[int]]) -> int:
     return _rank(rows, _content_free)
 
 
-def _rank_modp(rows: list[list[int]], p: int) -> int:
+def _mod(p: int):
     def mod_p(row):
         return [x % p for x in row]
 
+    return mod_p
+
+
+def _rank_modp(rows: list[list[int]], p: int) -> int:
+    mod_p = _mod(p)
     return _rank([mod_p(r) for r in rows], mod_p)
 
 
@@ -317,6 +325,34 @@ def _scale_rows_to_int(rows) -> list[list[int]]:
         mult = math.lcm(*(x.denominator for x in r))
         out.append([int(x * mult) for x in r])
     return out
+
+
+def _left_kernel(rows: list[list], p: int) -> tuple[int, list[list[int]]]:
+    """Rank of a matrix over Q (p = 0) or F_p, and a basis of the
+    coefficient vectors c with sum_i c_i * rows[i] = 0.
+
+    One _rank pass over [rows | I] that seeks pivots among the columns of
+    ``rows`` only.  Each step is an invertible row operation, so every row
+    stays the combination, given by its identity part, of the rows of
+    [rows | I]; the rows from the rank on are zero left of the identity
+    part, so their identity parts are rows - rank independent kernel
+    vectors.  Over Q a row with Fractions is scaled to ints with its
+    identity part, so the coefficients still refer to ``rows`` as given.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = []
+    for i, r in enumerate(rows):
+        unit = [0] * len(rows)
+        unit[i] = 1
+        aug.append([*r, *unit])
+    if p:
+        reduce = _mod(p)
+        aug = [reduce(r) for r in aug]
+    else:
+        reduce = _content_free
+        aug = _scale_rows_to_int(aug)
+    rank = _rank(aug, reduce, ncols)
+    return rank, [r[ncols:] for r in aug[rank:]]
 
 
 @dataclass(frozen=True)
@@ -349,12 +385,31 @@ class FLinearSystem:
             return _rank_int(_scale_rows_to_int(rows))
         return _rank_modp(rows, self.char)
 
-    def rank_F(self) -> int:
-        r = self._prime_rank()
+    def _to_F(self, prime_rank: int) -> int:
         e = self.subfield_degree
-        if r % e:
+        if prime_rank % e:
             raise ValueError("map is not F-linear: rank not divisible by e")
-        return r // e
+        return prime_rank // e
+
+    def rank_F(self) -> int:
+        return self._to_F(self._prime_rank())
+
+    def rank_and_kernel(self) -> tuple[int, list[tuple]]:
+        """rank_F and a prime-field basis of the kernel, from one elimination.
+
+        A kernel vector is the tuple of its nonzero (row, coefficient)
+        pairs: the rows it weights sum to zero.  A zero row is a kernel
+        vector on its own; the other rows go to _left_kernel without the
+        image columns that are zero in all of them.
+        """
+        live = [i for i, r in enumerate(self.rows) if any(r)]
+        keep = [j for j, col in enumerate(zip(*self.rows)) if any(col)]
+        rank, kernel = _left_kernel(
+            [[self.rows[i][j] for j in keep] for i in live], self.char)
+        zero = sorted(set(range(len(self.rows))).difference(live))
+        return self._to_F(rank), [((i, 1),) for i in zero] + [
+            tuple((live[k], c) for k, c in enumerate(vec) if c)
+            for vec in kernel]
 
     def kernel_dim_F(self) -> int:
         return self.domain_dim_F - self.rank_F()

@@ -11,6 +11,17 @@ Two kinds of block decompositions appear:
 Induction samples Y in s_N from a seeded pool and certifies each sample
 with an exact rank computation (equality of tangent spaces); certified
 samples are never wrong, so sampling affects liveness only.
+
+The certificate is ranked in two parts.  Take X in m (support-checked)
+and Y in s_N, W = X + Y, and L(Z) = ZW - W sigma(Z) on p = m + n.  Grade
+by block degree: products add degrees and sigma keeps them, so L never
+lowers the degree, and its degree-0 part is L_0 = [., X] on m.  Hence
+
+    rank L = rank L_0 + rank(L : ker L_0 + n -> n),
+
+and rank L = dim_F [m, X] + dim_F s_N holds iff the second map is onto
+n.  L_0 depends on X only, so it is eliminated once per case, for its
+rank and a kernel basis; each sample ranks only the second map.
 """
 
 from __future__ import annotations
@@ -18,10 +29,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fields import QuadraticExtensionModel
-from .linalg import (TwistedEndo, bracket_system, mat_add, reduce_row,
-                     row_echelon)
+from .linalg import (FLinearSystem, TwistedEndo, bracket_system, mat_add,
+                     reduce_row, row_echelon)
 from .orbits import (JordanType, jordan_type_of, orbit_dimension,
                      standard_representative)
 
@@ -174,30 +186,82 @@ def _check_support(endo: TwistedEndo, mask: frozenset, what: str):
                     f"{what} has a nonzero entry at {(a, b)} outside its mask")
 
 
-def m_orbit_tangent_dim(shape: ParabolicShape, x: TwistedEndo) -> int:
-    """dim_F of the image of m_P under Z -> [Z, X]."""
-    return bracket_system(x, sorted(shape.m_mask)).rank_F()
+class _LeviBlock(NamedTuple):
+    """The degree-0 part L_0 = [., X] on m of the certificate for one X.
+
+    ``kernel`` is a prime-field basis of ker L_0, each vector a tuple of
+    (row, coefficient) pairs over the rows of bracket_system(., positions),
+    where ``positions`` are the m positions some kernel vector touches.
+    """
+
+    rank_F: int     # dim_F [m, X]
+    expected: int   # dim_F [m, X] + dim_F s_N
+    positions: tuple
+    kernel: tuple
 
 
-def _expected_rank(shape: ParabolicShape, x: TwistedEndo) -> int:
-    """dim_F ([m_P, X] + s_N), the rank a generic X + Y must reach."""
+def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
+    """Eliminate the Levi system of X in m once: its rank and kernel."""
     _check_support(x, shape.m_mask, "X")
-    return m_orbit_tangent_dim(shape, x) + shape.dim_F_sN
+    m = sorted(shape.m_mask)
+    rank, kernel = bracket_system(x, m).rank_and_kernel()
+    per = x.model.prime_dim_per_e_dim
+    used = sorted({i // per for vec in kernel for i, _ in vec})
+    # the first row of position m[u] among the rows of the touched ones
+    first = {u: k * per for k, u in enumerate(used)}
+    return _LeviBlock(
+        rank, rank + shape.dim_F_sN, tuple(m[u] for u in used),
+        tuple(tuple((first[i // per] + i % per, c) for i, c in vec)
+              for vec in kernel))
 
 
-def _sample_rank(shape: ParabolicShape, x: TwistedEndo,
+def _combine(vec, rows) -> list:
+    """sum c * rows[j] over the (j, c) pairs of a kernel vector."""
+    (j, c), *rest = vec
+    acc = rows[j] if c == 1 else [c * v for v in rows[j]]
+    for j, c in rest:
+        acc = [s + c * v for s, v in zip(acc, rows[j])]
+    return acc
+
+
+def _sample_rank(shape: ParabolicShape, x: TwistedEndo, levi: _LeviBlock,
                  y: TwistedEndo) -> tuple[TwistedEndo, int]:
-    """The sample W = X + Y and dim_F [p, W]."""
-    w = TwistedEndo(x.model, x.n, mat_add(x.mat, y.mat))
-    return w, bracket_system(w, sorted(shape.p_mask)).rank_F()
+    """The sample W = X + Y and dim_F [p, W], for X in m and Y in s_N.
+
+    By the block-triangular identity of the module docstring, which needs
+    exactly those supports, dim_F [p, W] = rank L_0 + rank(L : ker L_0 +
+    n -> n).  The rows of the second map are those of n and the kernel
+    combinations of the rows of the touched m positions, each cut to its
+    n columns.  The rows of n go first, so the elimination pivots on them
+    before the denser kernel combinations: for (2, 2, 1) with Levi types
+    (1, 1), (2), (1) that takes 13 row updates instead of 56.
+    """
+    model, n = x.model, x.n
+    w = TwistedEndo(model, n, mat_add(x.mat, y.mat))
+    per = model.prime_dim_per_e_dim
+    n_pos = sorted(shape.n_mask)
+    cols = [(a * n + b) * per + t for a, b in n_pos for t in range(per)]
+    rows = [[r[c] for c in cols] for r in
+            bracket_system(w, [*n_pos, *levi.positions]).rows]
+    split = len(cols)
+    levi_rows = rows[split:]
+    reduced = rows[:split] + [_combine(vec, levi_rows) for vec in levi.kernel]
+    e = model.subfield_degree
+    return w, levi.rank_F + FLinearSystem(
+        rows=tuple(reduced),
+        domain_dim_F=len(reduced) // e,
+        codomain_dim_F=shape.dim_F_sN,
+        char=model.char,
+        subfield_degree=e,
+    ).rank_F()
 
 
 def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
                    y: TwistedEndo) -> bool:
     """Tangent-space equality [p, X+Y] = [m_P, X] + s_N, by exact ranks."""
-    expected = _expected_rank(shape, x)
+    levi = _levi_block(shape, x)
     _check_support(y, shape.n_mask, "Y")
-    return _sample_rank(shape, x, y)[1] == expected
+    return _sample_rank(shape, x, levi, y)[1] == levi.expected
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +283,13 @@ def sample_s_n(shape: ParabolicShape, model: QuadraticExtensionModel,
     return TwistedEndo(model, n, tuple(tuple(r) for r in rows))
 
 
-def _ranked_samples(shape: ParabolicShape, x: TwistedEndo, seed: int,
-                    trials: int):
+def _ranked_samples(shape: ParabolicShape, x: TwistedEndo,
+                    levi: _LeviBlock, seed: int, trials: int):
     """Yield (W, dim_F [p, W]) for ``trials`` samples W = X + Y, each Y
     drawn by sample_s_n from one random.Random(seed)."""
     rng = random.Random(seed)
     for _ in range(trials):
-        yield _sample_rank(shape, x, sample_s_n(shape, x.model, rng))
+        yield _sample_rank(shape, x, levi, sample_s_n(shape, x.model, rng))
 
 
 def blockwise_representative(shape: ParabolicShape, m_types,
@@ -263,18 +327,18 @@ def induce_orbit_report(shape: ParabolicShape, m_types,
     """Like :func:`induce_orbit` but keeps the trial statistics."""
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
-    expected = _expected_rank(shape, x)
+    levi = _levi_block(shape, x)
     ranks = []
-    for w, rank in _ranked_samples(shape, x, seed, max_trials):
-        if rank == expected:
+    for w, rank in _ranked_samples(shape, x, levi, seed, max_trials):
+        if rank == levi.expected:
             return InductionReport(shape.composition, m_types,
                                    jordan_type_of(w), len(ranks) + 1,
                                    len(ranks))
         ranks.append(rank)
     raise GenericityFailure(
         f"no certified sample in {max_trials} trials for {shape.composition}:"
-        f" expected rank {expected} (dim_F [m, X] + dim_F s_N), the trials"
-        f" got ranks {ranks}")
+        f" expected rank {levi.expected} (dim_F [m, X] + dim_F s_N),"
+        f" the trials got ranks {ranks}")
 
 
 def induce_orbit(shape: ParabolicShape, m_types,
@@ -331,25 +395,27 @@ def verify_porb(shape: ParabolicShape, m_types,
 
         dim_F O_ind = sum_i dim_F O_{M,i} + 2 dim_F s_N,
 
-    with each dimension read off the Jordan type by orbit_dimension, so
-    the count of passing checks is independent of the rank certificate.
+    with each dimension read off the Jordan type by orbit_dimension, once
+    per distinct type, so the count of passing checks is independent of
+    the rank certificate.
     The report is ok only if that type is also induced_row_sum(m_types)."""
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
     report = PorbReport(shape.composition, m_types, trials)
-    expected = _expected_rank(shape, x)
+    levi = _levi_block(shape, x)
     induced_dim = (sum(orbit_dimension(t).dim_orbit_F for t in m_types)
                    + 2 * shape.dim_F_sN)
-    for w, rank in _ranked_samples(shape, x, seed, trials):
-        if rank != expected:
+    has_induced_dim = {}
+    for w, rank in _ranked_samples(shape, x, levi, seed, trials):
+        if rank != levi.expected:
             report.failures += 1
             continue
         report.certified_trials += 1
         t = jordan_type_of(w)
-        if orbit_dimension(t).dim_orbit_F == induced_dim:
-            report.tangent_dim_checks += 1
-        if t not in report.types_seen:
+        if t not in has_induced_dim:
+            has_induced_dim[t] = orbit_dimension(t).dim_orbit_F == induced_dim
             report.types_seen.append(t)
+        report.tangent_dim_checks += has_induced_dim[t]
     if report.certified_trials:
         report.constant_type = len(report.types_seen) == 1
         report.induced_type = report.types_seen[0]

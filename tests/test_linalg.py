@@ -822,3 +822,34 @@ def test_rank_F_matches_oracles(case):
     assert want % e == 0
     assert from_prime_rows(rows, char=char, subfield_degree=e).rank_F() == \
         want // e
+
+
+@given(prime_systems())
+@example(([[0, 0, 5], [0, 0, 0]], 0, 1))
+@example(([[0, 3], [0, 0], [1, 0]], 3, 1))
+@example(([[0, 0, 1, 1], [0, 0, 1, 0]], 2, 2))
+@settings(max_examples=300, deadline=None)
+def test_kernel_from_rank_is_a_basis_of_the_annihilators(case):
+    # rows - rank integer vectors, each weighting the rows to exactly zero
+    # (mod p over F_p), and independent by the Gauss oracles
+    rows, char, e = case
+
+    def oracle(m):
+        return (_rank_fraction_gauss(m) if char == 0
+                else _rank_mod_p_gauss(m, char))
+
+    system = from_prime_rows(rows, char=char, subfield_degree=e)
+    rank, kernel = system.rank_and_kernel()
+    assert rank == system.rank_F() and rank * e == oracle(rows)
+    assert len(kernel) == len(rows) - rank * e
+    dense = []
+    for vec in kernel:
+        assert all(type(c) is int and c for _, c in vec)
+        dense.append([0] * len(rows))
+        for i, c in vec:
+            dense[-1][i] = c
+        for col in zip(*rows):
+            total = sum(c * x for c, x in zip(dense[-1], col))
+            assert (total % char if char else total) == 0
+    if kernel:
+        assert oracle(dense) == len(kernel)

@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import embed_m_x
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
-from tworb.linalg import TwistedEndo, mat_eq, mat_mul, mat_sigma
+from tworb.linalg import (TwistedEndo, bracket_system, mat_eq, mat_mul,
+                          mat_sigma)
 from tworb.orbits import (JordanType, enumerate_orbits, orbit_dimension,
                           standard_representative)
 from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
@@ -20,8 +23,10 @@ from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
                              sample_s_n, standard_parabolic, verify_porb)
 
 RAT = make_extension({"kind": "rational", "tau": 2})
+RAT3 = make_extension({"kind": "rational", "tau": 3})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
+F16 = make_extension({"kind": "finite", "p": 2, "e": 2})
 F101 = make_extension({"kind": "finite", "p": 101, "e": 1})
 
 
@@ -187,6 +192,64 @@ def test_rank_criterion_scale_invariant():
         assert rank_criterion(shape, x, scaled) == base
 
 
+def _y_on_s_n(shape, model, entries):
+    """Y with entries[(a, b)] at each such position of s_N, zero elsewhere."""
+    return TwistedEndo(model, shape.n, tuple(
+        tuple(entries.get((a, b), model.zero) for b in range(shape.n))
+        for a in range(shape.n)))
+
+
+@st.composite
+def certificate_cases(draw):
+    """(shape, X, Y): a composition of n <= 5 (often one block, so s_N is
+    empty), Levi types on its blocks, and Y either sampled by sample_s_n or
+    degenerate: zero, one sampled entry, or entries from {0, 1}."""
+    model = draw(st.sampled_from([RAT, RAT3, F9, F4, F16]))
+    n = draw(st.integers(1, 5))
+    comp = (n,) if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(
+        list(_all_compositions(n))))
+    shape = standard_parabolic(comp)
+    types = [draw(st.sampled_from(enumerate_orbits(s))) for s in comp]
+    x = blockwise_representative(shape, types, model)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    y = sample_s_n(shape, model, rng)
+    positions = sorted(shape.n_mask)
+    kind = draw(st.sampled_from(["sampled", "zero", "single", "zero-one"]))
+    if kind == "zero":
+        y = _y_on_s_n(shape, model, {})
+    elif kind == "single" and positions:
+        a, b = rng.choice(positions)
+        y = _y_on_s_n(shape, model, {(a, b): y.mat[a][b]})
+    elif kind == "zero-one":
+        y = _y_on_s_n(shape, model, {pos: model.from_int(rng.randint(0, 1))
+                                     for pos in positions})
+    return shape, x, y
+
+
+@given(certificate_cases())
+@example((standard_parabolic((3,)),
+          standard_representative(T(2, 1), F16),
+          TwistedEndo(F16, 3, ((F16.zero,) * 3,) * 3)))
+@example((standard_parabolic((2, 1)),
+          blockwise_representative(standard_parabolic((2, 1)),
+                                   [T(2), T(1)], RAT),
+          endo([[0, 0, 1], [0, 0, 0], [0, 0, 0]])))
+@settings(max_examples=150, deadline=None)
+def test_split_rank_equals_the_full_bracket_rank(case):
+    # rank [p, W] = rank L_0 + rank(ker L_0 + n -> n), W = X + Y
+    import tworb.parabolic as parabolic
+
+    shape, x, y = case
+    levi = parabolic._levi_block(shape, x)
+    w, rank = parabolic._sample_rank(shape, x, levi, y)
+    assert rank == bracket_system(w, sorted(shape.p_mask)).rank_F()
+    assert levi.rank_F == bracket_system(x, sorted(shape.m_mask)).rank_F()
+    assert levi.expected == levi.rank_F + shape.dim_F_sN
+    if shape.n_mask and not any(map(any, y.mat)):
+        # Y = 0 leaves the second map [., X] on n, which has a kernel
+        assert rank < levi.expected
+
+
 # -- induction ----------------------------------------------------------------
 
 
@@ -312,18 +375,40 @@ def test_verify_porb_draws_trials_samples_and_ranks_the_levi_once(
     import tworb.parabolic as parabolic
 
     samples, levi_ranks = [], []
-    real_sample, real_dim = parabolic.sample_s_n, parabolic.m_orbit_tangent_dim
+    real_sample, real_levi = parabolic.sample_s_n, parabolic._levi_block
     monkeypatch.setattr(
         parabolic, "sample_s_n",
         lambda *args: samples.append(1) or real_sample(*args))
     monkeypatch.setattr(
-        parabolic, "m_orbit_tangent_dim",
-        lambda *args: levi_ranks.append(1) or real_dim(*args))
+        parabolic, "_levi_block",
+        lambda *args: levi_ranks.append(1) or real_levi(*args))
     report = verify_porb(standard_parabolic((2, 1)), [T(2), T(1)], RAT,
                          trials=7, seed=4)
     assert report.ok and report.trials == 7
     assert len(samples) == 7
     assert len(levi_ranks) == 1
+
+
+def test_verify_porb_checks_the_orbit_dimension_once_per_type(monkeypatch):
+    # once per Levi type for the induced dimension, then once per type seen;
+    # tangent_dim_checks still counts the certified trials one by one
+    import tworb.parabolic as parabolic
+
+    shape, types = standard_parabolic((2, 1)), zero_types((2, 1))
+    dims = []
+    real = parabolic.orbit_dimension
+    monkeypatch.setattr(parabolic, "orbit_dimension",
+                        lambda t: dims.append(t) or real(t))
+    good = verify_porb(shape, types, RAT, trials=10, seed=3)
+    assert good.ok and good.certified_trials > 1
+    assert dims == [*types, T(2, 1)]
+    assert good.tangent_dim_checks == good.certified_trials
+    dims.clear()
+    answers = itertools.cycle([T(2, 1), T(1, 1, 1)])
+    monkeypatch.setattr(parabolic, "jordan_type_of", lambda y: next(answers))
+    bad = verify_porb(shape, types, RAT, trials=10, seed=3)
+    assert dims == [*types, T(2, 1), T(1, 1, 1)]
+    assert bad.tangent_dim_checks == (bad.certified_trials + 1) // 2
 
 
 def test_induced_row_sum():
@@ -347,8 +432,8 @@ def test_genericity_failure_names_the_ranks(monkeypatch):
     import tworb.parabolic as parabolic
 
     calls = []
-    real = parabolic.m_orbit_tangent_dim
-    monkeypatch.setattr(parabolic, "m_orbit_tangent_dim",
+    real = parabolic._levi_block
+    monkeypatch.setattr(parabolic, "_levi_block",
                         lambda shape, x: calls.append(1) or real(shape, x))
     monkeypatch.setattr(parabolic, "sample_s_n",
                         lambda shape, model, rng: endo([[0, 0], [0, 0]]))
