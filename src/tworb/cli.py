@@ -14,7 +14,7 @@ import sys
 import zlib
 from dataclasses import dataclass, field
 
-from .fields import FieldModelError, make_extension
+from .fields import FieldModelError, _prime_factors, make_extension
 from .orbits import (JordanType, check_dimHY, centralizer_dim_oracle,
                      enumerate_orbits, gl_order, orbit_census,
                      orbit_dimension, stabilizer_order,
@@ -58,20 +58,15 @@ class RunConfig:
         }
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+def _finite_field(q: int) -> dict:
+    """The field descriptor with F = F_q, for q a prime power."""
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise FieldModelError(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise FieldModelError(f"q={q} is not a prime power")
-            return p, e
-    raise FieldModelError(f"q={q} is not a prime power")
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
+    return {"kind": "finite", "p": p, "e": e}
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +139,7 @@ def suite_dimhy(cfg: RunConfig) -> list[dict]:
     n_max = cfg.n_max if cfg.n_max is not None else 12
     cases = [{"case": f"n={n} type={t}", "ok": check_dimHY(t)}
              for n in range(0, n_max + 1) for t in enumerate_orbits(n)]
-    p, e = _factor_prime_power(cfg.q)
-    model = make_extension({"kind": "finite", "p": p, "e": e})
+    model = make_extension(_finite_field(cfg.q))
     Q = model.q ** 2
     for n in range(1, min(3, n_max) + 1):
         for t in enumerate_orbits(n):
@@ -203,8 +197,7 @@ def suite_scaling(cfg: RunConfig) -> list[dict]:
 
 def suite_census(cfg: RunConfig) -> list[dict]:
     n = cfg.n if cfg.n is not None else 2
-    p, e = _factor_prime_power(cfg.q)
-    model = make_extension({"kind": "finite", "p": p, "e": e})
+    model = make_extension(_finite_field(cfg.q))
     counts = orbit_census(n, model, budget=cfg.budget)
     group = gl_order(model.q ** 2, n)
     cases = []
@@ -391,8 +384,7 @@ def _config_from(args) -> RunConfig:
     if args.field == "rational":
         fdesc = {"kind": "rational", "tau": args.tau}
     else:
-        p, e = _factor_prime_power(args.q)
-        fdesc = {"kind": "finite", "p": p, "e": e}
+        fdesc = _finite_field(args.q)
     if args.trials < 1 or args.series_order < 0 or args.budget < 1:
         raise FieldModelError("budgets must be positive")
     make_extension(fdesc)  # validate early

@@ -53,19 +53,6 @@ class NotPrime(FieldModelError):
     """The finite model needs a prime characteristic."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _rat(x) -> int | Fraction:
     """A rational value as an int when it is integral, else a Fraction."""
     if type(x) is int:
@@ -636,7 +623,7 @@ def make_extension(spec) -> QuadraticExtensionModel:
     if kind == "finite":
         p = int(spec["p"])
         e = int(spec.get("e", 1))
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrime(f"p={p} is not prime")
         if e < 1:
             raise FieldModelError(f"e={e} must be >= 1")

@@ -359,25 +359,23 @@ def _left_kernel(rows: list[list], p: int) -> tuple[int, list[list[int]]]:
 class FLinearSystem:
     """An F-linear map, flattened to a matrix over the prime field.
 
-    ``rows`` are the matrix rows of prime-field scalars: over Q each entry
-    is an int or a Fraction, over F_p each is an int.  The rank is taken
-    on the transpose without its all-zero rows; over Q a transpose of ints
-    goes to fraction-free elimination as it is, and any other has every
-    row scaled to ints first.  Stated dimensions are F-dimensions; for the
+    ``rows`` are the images of the domain's prime basis, one row each, in
+    prime coordinates of the codomain: over Q each entry is an int or a
+    Fraction, over F_p each is an int.  The rank is taken on the
+    transpose without its all-zero rows; over Q a transpose of ints goes
+    to fraction-free elimination as it is, and any other has every row
+    scaled to ints first.  Stated dimensions are F-dimensions; for the
     finite model they equal prime-field dimensions divided by
     subfield_degree.
     """
 
     rows: tuple
-    domain_dim_F: int
-    codomain_dim_F: int
     char: int  # 0 for Q, p for the finite model
     subfield_degree: int = 1
 
     def _prime_rank(self) -> int:
-        # rank is invariant under transposing and under dropping zero rows;
-        # a codomain coordinate that no image reaches (outside p, for the
-        # bracket on p) is a zero row of the transpose
+        # rank is invariant under transposing and under dropping zero rows,
+        # such as the codomain coordinates that no image reaches
         rows = [list(c) for c in zip(*self.rows) if any(c)]
         if not rows:
             return 0
@@ -385,11 +383,12 @@ class FLinearSystem:
             return _rank_int(_scale_rows_to_int(rows))
         return _rank_modp(rows, self.char)
 
-    def _to_F(self, prime_rank: int) -> int:
+    def _to_F(self, dim: int) -> int:
+        """A prime-field dimension as an F-dimension."""
         e = self.subfield_degree
-        if prime_rank % e:
-            raise ValueError("map is not F-linear: rank not divisible by e")
-        return prime_rank // e
+        if dim % e:
+            raise ValueError(f"not F-linear: {dim} not a multiple of e={e}")
+        return dim // e
 
     def rank_F(self) -> int:
         return self._to_F(self._prime_rank())
@@ -399,49 +398,53 @@ class FLinearSystem:
 
         A kernel vector is the tuple of its nonzero (row, coefficient)
         pairs: the rows it weights sum to zero.  A zero row is a kernel
-        vector on its own; the other rows go to _left_kernel without the
-        image columns that are zero in all of them.
+        vector on its own; the other rows go to _left_kernel.
         """
         live = [i for i, r in enumerate(self.rows) if any(r)]
-        keep = [j for j, col in enumerate(zip(*self.rows)) if any(col)]
-        rank, kernel = _left_kernel(
-            [[self.rows[i][j] for j in keep] for i in live], self.char)
+        rank, kernel = _left_kernel([self.rows[i] for i in live], self.char)
         zero = sorted(set(range(len(self.rows))).difference(live))
         return self._to_F(rank), [((i, 1),) for i in zero] + [
             tuple((live[k], c) for k, c in enumerate(vec) if c)
             for vec in kernel]
 
     def kernel_dim_F(self) -> int:
-        return self.domain_dim_F - self.rank_F()
+        return self._to_F(len(self.rows)) - self.rank_F()
 
 
 # ---------------------------------------------------------------------------
 # flattening maps on matrix subspaces
 
 
-def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
-    """The flattened map Z -> Z*Y - Y*sigma(Z) on a span of positions.
+def bracket_system(y: TwistedEndo, domain_positions=None,
+                   codomain_positions=None) -> FLinearSystem:
+    """The flattened map Z -> Z*Y - Y*sigma(Z) between spans of positions.
 
-    Domain basis: c * E_ab for each position (a, b) and each prime-basis
-    scalar c; each basis vector gives one row, the prime coordinates of
-    its image.  On c * E_ab the bracket is closed form: row a receives
-    c * (row b of Y) and column b receives -sigma(c) * (column a of Y).
-    Both products are taken once per nonzero entry of Y and per c, and
-    every row copies their coordinates; the one entry that can receive
-    both terms, (a, b) when Y[b][b] and Y[a][a] are nonzero, is summed in
-    E first.  The rows agree entry for entry with running the generic
-    flattener over twisted_bracket (tested).
+    Domain basis: c * E_ab for each domain position (a, b) and each
+    prime-basis scalar c; each gives one row, the prime coordinates of its
+    image at the codomain positions, in order (both spans default to every
+    position, row-major).  On c * E_ab the bracket is closed form: row a
+    receives c * (row b of Y) and column b receives -sigma(c) * (column a
+    of Y).  Both products are taken once per nonzero entry of Y and per c,
+    and every row copies those coordinates that land in the codomain; the
+    one entry that can receive both terms, (a, b) when Y[b][b] and Y[a][a]
+    are nonzero, is summed in E first.  The rows agree entry for entry
+    with the generic flattener over twisted_bracket (tested).
     """
     model, n = y.model, y.n
+    everything = [(i, j) for i in range(n) for j in range(n)]
     if domain_positions is None:
-        domain_positions = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        domain_positions = list(domain_positions)
+        domain_positions = everything
+    if codomain_positions is None:
+        codomain_positions = everything
     basis = model.prime_basis()
     neg_sigma_basis = [-model.sigma(c) for c in basis]
     coords = model.prime_coords
     per = model.prime_dim_per_e_dim
     w = y.mat
+    # first[i][j]: the first column of codomain position (i, j), else None
+    first = [[None] * n for _ in range(n)]
+    for k, (i, j) in enumerate(codomain_positions):
+        first[i][j] = k * per
     # row_terms[b]: (j, coordinates of c * Y[b][j] per c), Y[b][j] != 0;
     # col_terms[a]: (i, coordinates of -sigma(c) * Y[i][a] per c)
     row_terms = [[] for _ in range(n)]
@@ -453,13 +456,16 @@ def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
                 row_terms[r].append((s, [coords(c * v) for c in basis]))
                 col_terms[s].append(
                     (r, [coords(c * v) for c in neg_sigma_basis]))
-    width = n * n * per
+    width = len(codomain_positions) * per
     rows = []
     for (a, b) in domain_positions:
-        terms = [((a * n + j) * per, cs) for j, cs in row_terms[b]]
-        terms += [((i * n + b) * per, cs) for i, cs in col_terms[a]]
-        if w[a][a] and w[b][b]:
-            both = (a * n + b) * per
+        first_a = first[a]
+        terms = [(first_a[j], cs) for j, cs in row_terms[b]
+                 if first_a[j] is not None]
+        terms += [(first[i][b], cs) for i, cs in col_terms[a]
+                  if first[i][b] is not None]
+        both = first_a[b]
+        if both is not None and w[a][a] and w[b][b]:
             terms = [(base, cs) for base, cs in terms if base != both]
             terms.append((both, [coords(c * w[b][b] + d * w[a][a])
                                  for c, d in zip(basis, neg_sigma_basis)]))
@@ -468,11 +474,5 @@ def bracket_system(y: TwistedEndo, domain_positions=None) -> FLinearSystem:
             for base, cs in terms:
                 row[base:base + per] = cs[t]
             rows.append(tuple(row))
-    e = model.subfield_degree
-    return FLinearSystem(
-        rows=tuple(rows),
-        domain_dim_F=len(domain_positions) * per // e,
-        codomain_dim_F=n * n * per // e,
-        char=model.char,
-        subfield_degree=e,
-    )
+    return FLinearSystem(rows=tuple(rows), char=model.char,
+                         subfield_degree=model.subfield_degree)

@@ -190,29 +190,25 @@ class _LeviBlock(NamedTuple):
     """The degree-0 part L_0 = [., X] on m of the certificate for one X.
 
     ``kernel`` is a prime-field basis of ker L_0, each vector a tuple of
-    (row, coefficient) pairs over the rows of bracket_system(., positions),
-    where ``positions`` are the m positions some kernel vector touches.
+    (row, coefficient) pairs over the rows of bracket_system(., m), with
+    the m positions in sorted order.
     """
 
     rank_F: int     # dim_F [m, X]
     expected: int   # dim_F [m, X] + dim_F s_N
-    positions: tuple
     kernel: tuple
 
 
 def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
-    """Eliminate the Levi system of X in m once: its rank and kernel."""
+    """Eliminate the Levi system of X in m once: its rank and kernel.
+
+    X is support-checked to lie in m, so [m, X] lies in m, and the system
+    is flattened onto the m positions only, with the rank unchanged.
+    """
     _check_support(x, shape.m_mask, "X")
     m = sorted(shape.m_mask)
-    rank, kernel = bracket_system(x, m).rank_and_kernel()
-    per = x.model.prime_dim_per_e_dim
-    used = sorted({i // per for vec in kernel for i, _ in vec})
-    # the first row of position m[u] among the rows of the touched ones
-    first = {u: k * per for k, u in enumerate(used)}
-    return _LeviBlock(
-        rank, rank + shape.dim_F_sN, tuple(m[u] for u in used),
-        tuple(tuple((first[i // per] + i % per, c) for i, c in vec)
-              for vec in kernel))
+    rank, kernel = bracket_system(x, m, m).rank_and_kernel()
+    return _LeviBlock(rank, rank + shape.dim_F_sN, tuple(kernel))
 
 
 def _combine(vec, rows) -> list:
@@ -230,30 +226,21 @@ def _sample_rank(shape: ParabolicShape, x: TwistedEndo, levi: _LeviBlock,
 
     By the block-triangular identity of the module docstring, which needs
     exactly those supports, dim_F [p, W] = rank L_0 + rank(L : ker L_0 +
-    n -> n).  The rows of the second map are those of n and the kernel
-    combinations of the rows of the touched m positions, each cut to its
-    n columns.  The rows of n go first, so the elimination pivots on them
-    before the denser kernel combinations: for (2, 2, 1) with Levi types
-    (1, 1), (2), (1) that takes 13 row updates instead of 56.
+    n -> n).  The bracket of W is flattened from n and then m onto n; the
+    rows of the second map are those of n and the kernel combinations of
+    the rows of m.  The rows of n go first, so the elimination pivots on
+    them before the denser kernel combinations: for (2, 2, 1) with Levi
+    types (1, 1), (2), (1) that takes 13 row updates instead of 56.
     """
     model, n = x.model, x.n
     w = TwistedEndo(model, n, mat_add(x.mat, y.mat))
-    per = model.prime_dim_per_e_dim
     n_pos = sorted(shape.n_mask)
-    cols = [(a * n + b) * per + t for a, b in n_pos for t in range(per)]
-    rows = [[r[c] for c in cols] for r in
-            bracket_system(w, [*n_pos, *levi.positions]).rows]
-    split = len(cols)
+    rows = bracket_system(w, [*n_pos, *sorted(shape.m_mask)], n_pos).rows
+    split = len(n_pos) * model.prime_dim_per_e_dim
     levi_rows = rows[split:]
-    reduced = rows[:split] + [_combine(vec, levi_rows) for vec in levi.kernel]
-    e = model.subfield_degree
+    reduced = rows[:split] + tuple(_combine(v, levi_rows) for v in levi.kernel)
     return w, levi.rank_F + FLinearSystem(
-        rows=tuple(reduced),
-        domain_dim_F=len(reduced) // e,
-        codomain_dim_F=shape.dim_F_sN,
-        char=model.char,
-        subfield_degree=e,
-    ).rank_F()
+        reduced, model.char, model.subfield_degree).rank_F()
 
 
 def rank_criterion(shape: ParabolicShape, x: TwistedEndo,

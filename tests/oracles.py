@@ -24,15 +24,9 @@ from tworb.linalg import (FLinearSystem, Matrix, TwistedEndo, mat_identity,
 from tworb.parabolic import AdaptedParabolic
 
 
-def from_prime_rows(rows, *, char: int, subfield_degree: int = 1,
-                    domain_dim_F: int | None = None,
-                    codomain_dim_F: int | None = None) -> FLinearSystem:
-    rows = tuple(tuple(r) for r in rows)
-    ncols = len(rows[0]) if rows else 0
-    e = subfield_degree
-    dom = domain_dim_F if domain_dim_F is not None else ncols // e
-    cod = codomain_dim_F if codomain_dim_F is not None else len(rows) // e
-    return FLinearSystem(rows, dom, cod, char, e)
+def from_prime_rows(rows, *, char: int,
+                    subfield_degree: int = 1) -> FLinearSystem:
+    return FLinearSystem(tuple(tuple(r) for r in rows), char, subfield_degree)
 
 
 def unit_matrix(model, n: int, pos, scalar: ExtElement) -> Matrix:
@@ -48,30 +42,21 @@ def flatten_map(model, n: int, domain_positions, fn,
     """Flatten the F-linear map ``fn`` on the span of matrix positions.
 
     Domain basis: scalar * E_{ab} for each position and each prime-basis
-    scalar.  Columns of the system are prime coordinates of fn(basis).
+    scalar.  Each basis vector gives one row: the prime coordinates of
+    fn(basis vector) at the codomain positions (default: all, row-major).
     """
     domain_positions = list(domain_positions)
     if codomain_positions is None:
         codomain_positions = [(i, j) for i in range(n) for j in range(n)]
-    basis = model.prime_basis()
-    per = model.prime_dim_per_e_dim
-    cols = []
+    rows = []
     for pos in domain_positions:
-        for mono in basis:
+        for mono in model.prime_basis():
             img = fn(unit_matrix(model, n, pos, mono))
-            col = []
+            row = []
             for (i, j) in codomain_positions:
-                col.extend(model.prime_coords(img[i][j]))
-            cols.append(col)
-    e = model.subfield_degree
-    # orientation is irrelevant for rank; store basis vectors as rows
-    return FLinearSystem(
-        rows=tuple(tuple(c) for c in cols),
-        domain_dim_F=len(domain_positions) * per // e,
-        codomain_dim_F=len(codomain_positions) * per // e,
-        char=model.char,
-        subfield_degree=e,
-    )
+                row.extend(model.prime_coords(img[i][j]))
+            rows.append(tuple(row))
+    return FLinearSystem(tuple(rows), model.char, model.subfield_degree)
 
 
 def igusa_shell_measures_naive(d: int, p: int, *, modulus_exp: int = 4,

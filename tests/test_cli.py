@@ -115,6 +115,27 @@ def test_bad_q_exits_2(capsys):
     assert main(["verify", "census", "--q", "6"]) == 2
 
 
+@pytest.mark.parametrize("q", ["1", "12"])
+@pytest.mark.parametrize("field", ["rational", "finite"])
+def test_q_not_a_prime_power_exits_2(capsys, q, field):
+    # over the finite field --q is read with the configuration, over Q by
+    # the census suite itself; both give the same error
+    assert main(["verify", "census", "--field", field, "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: q={q} is not a prime power\n"
+
+
+def test_q8_is_the_field_with_8_elements(capsys):
+    code, out = run_cli(capsys, "verify", "census", "--n", "1", "--field",
+                        "finite", "--q", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["field"] == {"kind": "finite", "p": 2, "e": 3}
+    # GL_1(E) for E = F_64, the quadratic extension of F_8
+    assert [c["group_order"] for c in report["cases"]] == [63]
+
+
 def test_bad_budget_exits_2(capsys):
     assert main(["orbits", "--n", "2", "--trials", "0"]) == 2
 

@@ -1,6 +1,7 @@
 """Twisted matrix operations and the exact F-linear solver."""
 
 import dataclasses
+import itertools
 import random
 import sys
 import threading
@@ -310,9 +311,9 @@ def test_kernel_dim_examples():
 def test_kernel_dim_of_regular_bracket_is_4():
     # the map Z -> [Z, Y_reg] on gl_2(E) = F^8; nullity 4 by row reduction
     system = bracket_system(Y_REG)
-    assert system.domain_dim_F == 8 and system.codomain_dim_F == 8
+    assert len(system.rows) == 8 and {len(r) for r in system.rows} == {8}
     assert system.kernel_dim_F() == 4
-    assert system.rank_F() + system.kernel_dim_F() == system.domain_dim_F
+    assert system.rank_F() + system.kernel_dim_F() == len(system.rows)
 
 
 def test_rank_plus_nullity_finite_model():
@@ -320,6 +321,20 @@ def test_rank_plus_nullity_finite_model():
     system = bracket_system(y)
     assert system.rank_F() + system.kernel_dim_F() == 8
     assert system.kernel_dim_F() == 4
+
+
+def test_kernel_dim_counts_domain_rows_in_F_dimensions():
+    # over F_16 with F = F_4 (e = 2) each E-position spans 4 prime rows,
+    # so gl_2(E) has 16 rows but F-dimension 8; the regular nilpotent's
+    # centralizer has F-dimension 4, as over F_9
+    system = bracket_system(TwistedEndo.from_rows(F16, [[0, 1], [0, 0]]))
+    assert len(system.rows) == 16
+    assert system.kernel_dim_F() == len(system.rows) // 2 - system.rank_F()
+    assert system.kernel_dim_F() == 4
+    # a subspace and a codomain of one position each: E_12 -> E_12 is zero
+    corner = bracket_system(TwistedEndo.from_rows(F16, [[0, 1], [0, 0]]),
+                            [(0, 1)], [(0, 1)])
+    assert corner.rank_F() == 0 and corner.kernel_dim_F() == 2
 
 
 def _random_entry(model, rng):
@@ -359,12 +374,13 @@ def test_bracket_system_matches_generic_flattener():
             everything = [(i, j) for i in range(n) for j in range(n)]
             shape = standard_parabolic(rng.choice(list(_all_compositions(n))))
             # None is every position, the default
-            for domain in (None, sorted(shape.m_mask), sorted(shape.n_mask),
-                           sorted(shape.p_mask)):
-                fast = bracket_system(y, domain)
+            spans = (None, sorted(shape.m_mask), sorted(shape.n_mask),
+                     sorted(shape.p_mask))
+            for domain, codomain in itertools.product(spans, spans):
+                fast = bracket_system(y, domain, codomain)
                 slow = flatten_map(model, n,
                                    everything if domain is None else domain,
-                                   lambda z: twisted_bracket(z, y))
+                                   lambda z: twisted_bracket(z, y), codomain)
                 assert fast.rows == slow.rows
 
 

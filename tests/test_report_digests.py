@@ -1,10 +1,13 @@
 """Golden digests: every suite report must stay byte-identical.
 
-Each case runs ``cli.cmd_verify`` at a fixed configuration and compares
-the SHA-256 of the report's canonical JSON (the bytes ``tworb --format
-json`` prints) with ``report_digests.json``.  The configurations are the
-acceptance ones of ``scripts/run_verify_all.py``, plus ``census`` at q=3
-and ``porb`` over F_3.  A change that alters any report, even a field
+Each case runs ``cli.cmd_verify`` or ``cli.cmd_induce`` at a fixed
+configuration and compares the SHA-256 of the report's canonical JSON
+(the bytes ``tworb --format json`` prints) with ``report_digests.json``.
+The configurations are the acceptance ones of
+``scripts/run_verify_all.py``, plus ``census`` at q=3, ``porb`` over F_3,
+``uX`` and ``centralizer`` over F_16 (e = 2), and three ``induce`` runs:
+over Q(sqrt 2), over F_3, and one over F_2 that ends in a
+GenericityFailure.  A change that alters any report, even a field
 nobody checks, fails here; re-record only when a report is meant to
 change:
 
@@ -15,11 +18,12 @@ change:
 import hashlib
 import importlib.util
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from tworb.cli import RunConfig, cmd_verify
+from tworb.cli import RunConfig, cmd_induce, cmd_verify
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "report_digests.json"
@@ -33,16 +37,30 @@ def _acceptance_configs() -> dict:
     return module.CONFIGS
 
 
+F_2 = {"kind": "finite", "p": 2, "e": 1}
+F_3 = {"kind": "finite", "p": 3, "e": 1}
+F_16 = {"kind": "finite", "p": 2, "e": 2}
+
 CASES = {
-    **{suite: (suite, cfg) for suite, cfg in _acceptance_configs().items()},
-    "census q=3": ("census", RunConfig(n=2, q=3)),
-    "porb F_3": ("porb", RunConfig(field={"kind": "finite", "p": 3, "e": 1},
-                                   n_max=4, trials=20, seed=7)),
+    **{suite: partial(cmd_verify, suite, cfg)
+       for suite, cfg in _acceptance_configs().items()},
+    "census q=3": partial(cmd_verify, "census", RunConfig(n=2, q=3)),
+    "porb F_3": partial(cmd_verify, "porb", RunConfig(
+        field=F_3, n_max=4, trials=20, seed=7)),
+    "uX F_16": partial(cmd_verify, "uX", RunConfig(field=F_16, q=4, n_max=5)),
+    "centralizer F_16": partial(cmd_verify, "centralizer", RunConfig(
+        field=F_16, q=4, n_max=5)),
+    "induce 3,2,1": partial(cmd_induce, "3,2,1", None, RunConfig(seed=1)),
+    "induce 2,2 F_3": partial(cmd_induce, "2,2", "2;1,1", RunConfig(
+        field=F_3, q=3, seed=1)),
+    # a single trial that falls short: ends in a GenericityFailure report
+    "induce 2,2 F_2 failure": partial(cmd_induce, "2,2", "1,1;2", RunConfig(
+        field=F_2, q=2, seed=2, trials=1)),
 }
 
 
-def report_digest(suite: str, cfg: RunConfig) -> str:
-    _, report = cmd_verify(suite, cfg)
+def report_digest(run) -> str:
+    _, report = run()
     data = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     return hashlib.sha256(data.encode()).hexdigest()
 
@@ -50,7 +68,7 @@ def report_digest(suite: str, cfg: RunConfig) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_digest_is_unchanged(name):
     golden = json.loads(GOLDEN.read_text())
-    assert report_digest(*CASES[name]) == golden[name]
+    assert report_digest(CASES[name]) == golden[name]
 
 
 def test_every_golden_digest_has_a_case():
@@ -58,5 +76,5 @@ def test_every_golden_digest_has_a_case():
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: report_digest(*CASES[name])
+    print(json.dumps({name: report_digest(CASES[name])
                       for name in sorted(CASES)}, indent=2, sort_keys=True))
