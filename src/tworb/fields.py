@@ -17,7 +17,15 @@ model classes, each with its own payload arithmetic:
 
 Both subclass :class:`QuadraticExtensionModel`, which holds what they
 share.  A method only one model has (``el``, ``from_coeffs``, element
-enumeration) exists only on that class.
+enumeration) exists only on that class.  A model object also keeps what
+linalg would otherwise rebuild on every call: the identity matrices
+(``mat_identity``) and the prime basis with its -sigma images.
+
+``_basis_products(v)`` gives the prime coordinates of c * v for every c
+in the prime basis and in its -sigma images, the two products
+``linalg.bracket_system`` needs per nonzero matrix entry.  The rational
+model writes them in closed form from the payload (a, b); the finite
+model multiplies in E by the basis it built once.
 
 :class:`ExtElement` delegates each operation to its model's payload
 methods, four Python calls per ``+`` or ``*``.  The exact rational
@@ -371,6 +379,16 @@ class QuadraticExtensionModel:
     subfield_degree: int      # [F : prime field]; converts dimensions to F
     _key: tuple
 
+    def __init__(self, key: tuple):
+        """Each subclass calls this last, once prime_basis and sigma work."""
+        self._key = key
+        # n -> the n x n identity, kept here by linalg.mat_identity so
+        # that its entries belong to this model object
+        self._identities = {}
+        # the scalars of bracket_system: prime_basis() and -sigma of it
+        basis = self.prime_basis()
+        self._bracket_scalars = basis, [-self.sigma(c) for c in basis]
+
     def __eq__(self, other):
         return (isinstance(other, QuadraticExtensionModel)
                 and self._key == other._key)
@@ -403,6 +421,14 @@ class QuadraticExtensionModel:
         """
         return x.payload
 
+    def _basis_products(self, v: ExtElement) -> tuple[list, list]:
+        """The prime coordinates of c * v, first for c in prime_basis(),
+        then for c in -sigma(prime_basis()), by E-multiplication."""
+        basis, neg_sigma_basis = self._bracket_scalars
+        coords = self.prime_coords
+        return ([coords(c * v) for c in basis],
+                [coords(c * v) for c in neg_sigma_basis])
+
 
 class RationalModel(QuadraticExtensionModel):
     """E = Q(sqrt(tau)) over F = Q; the payload (a, b) is a + b*sqrt(tau)."""
@@ -414,7 +440,7 @@ class RationalModel(QuadraticExtensionModel):
 
     def __init__(self, tau: int | Fraction):
         self.tau = tau
-        self._key = ("rational", tau)
+        super().__init__(("rational", tau))
 
     def __repr__(self):
         return f"QuadraticExtensionModel(Q(sqrt({self.tau})))"
@@ -440,6 +466,17 @@ class RationalModel(QuadraticExtensionModel):
 
     def _format(self, x) -> str:
         return f"{x[0]}+{x[1]}*sqrt({self.tau})"
+
+    def _basis_products(self, v: RationalElement) -> tuple[list, list]:
+        """The prime coordinates of c * v in closed form, v = a + b*sqrt(tau).
+
+        Over the prime basis (1, sqrt(tau)) they are (a, b) and (tau*b, a);
+        over its -sigma images (-1, sqrt(tau)) they are (-a, -b) and
+        (tau*b, a).
+        """
+        a, b = v.payload
+        tb = self.tau * b
+        return [(a, b), (tb, a)], [(-a, -b), (tb, a)]
 
     def sigma(self, x: RationalElement) -> RationalElement:
         a, b = x.payload
@@ -473,7 +510,6 @@ class FiniteModel(QuadraticExtensionModel):
         self.e = self.subfield_degree = e
         self.q = p**e
         deg = self.degree = self.prime_dim_per_e_dim = 2 * e
-        self._key = ("finite", p, e)
         self.modulus = _find_irreducible(deg, p)
         # reduction of x^deg .. x^(2*deg-2), used by multiplication
         self._red = []
@@ -488,6 +524,7 @@ class FiniteModel(QuadraticExtensionModel):
         for _ in range(deg):
             self._sigma_rows.append(self._pad(cur))
             cur = _poly_mod(_poly_mul(cur, s, p), self.modulus, p)
+        super().__init__(("finite", p, e))
 
     def __repr__(self):
         return f"QuadraticExtensionModel(F_{self.q**2}/F_{self.q})"

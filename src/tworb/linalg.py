@@ -53,8 +53,18 @@ def mat_from_rows(model: QuadraticExtensionModel, rows) -> Matrix:
 
 
 def mat_identity(model, n: int) -> Matrix:
-    z, o = model.zero, model.one
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+    """The n x n identity, built once per model object and size.
+
+    It is kept on the model object itself, not keyed by model equality,
+    so its entries belong to that object, as the same-model fast path of
+    RationalElement arithmetic expects.
+    """
+    ident = model._identities.get(n)
+    if ident is None:
+        z, o = model.zero, model.one
+        ident = model._identities[n] = tuple(
+            tuple(o if i == j else z for j in range(n)) for i in range(n))
+    return ident
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -81,10 +91,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -424,21 +430,22 @@ def bracket_system(y: TwistedEndo, domain_positions=None,
     image at the codomain positions, in order (both spans default to every
     position, row-major).  On c * E_ab the bracket is closed form: row a
     receives c * (row b of Y) and column b receives -sigma(c) * (column a
-    of Y).  Both products are taken once per nonzero entry of Y and per c,
-    and every row copies those coordinates that land in the codomain; the
-    one entry that can receive both terms, (a, b) when Y[b][b] and Y[a][a]
-    are nonzero, is summed in E first.  The rows agree entry for entry
-    with the generic flattener over twisted_bracket (tested).
+    of Y).  One call of the model's _basis_products per nonzero entry of Y
+    gives the coordinates of both products for every c (in closed form
+    over Q(sqrt(tau)), by E-multiplication with scalars built once per
+    model over F_q), and every row copies those that land in the codomain.
+    The one entry that can receive both terms, (a, b) when Y[b][b] and
+    Y[a][a] are nonzero, is summed in E first.  The rows equal those of
+    the generic flattener over twisted_bracket (tested).
     """
     model, n = y.model, y.n
-    everything = [(i, j) for i in range(n) for j in range(n)]
-    if domain_positions is None:
-        domain_positions = everything
-    if codomain_positions is None:
-        codomain_positions = everything
-    basis = model.prime_basis()
-    neg_sigma_basis = [-model.sigma(c) for c in basis]
-    coords = model.prime_coords
+    if domain_positions is None or codomain_positions is None:
+        everything = [(i, j) for i in range(n) for j in range(n)]
+        if domain_positions is None:
+            domain_positions = everything
+        if codomain_positions is None:
+            codomain_positions = everything
+    products = model._basis_products
     per = model.prime_dim_per_e_dim
     w = y.mat
     # first[i][j]: the first column of codomain position (i, j), else None
@@ -449,13 +456,12 @@ def bracket_system(y: TwistedEndo, domain_positions=None,
     # col_terms[a]: (i, coordinates of -sigma(c) * Y[i][a] per c)
     row_terms = [[] for _ in range(n)]
     col_terms = [[] for _ in range(n)]
-    for r in range(n):
-        for s in range(n):
-            v = w[r][s]
+    for r, wr in enumerate(w):
+        for s, v in enumerate(wr):
             if v:
-                row_terms[r].append((s, [coords(c * v) for c in basis]))
-                col_terms[s].append(
-                    (r, [coords(c * v) for c in neg_sigma_basis]))
+                by_c, by_neg_sigma_c = products(v)
+                row_terms[r].append((s, by_c))
+                col_terms[s].append((r, by_neg_sigma_c))
     width = len(codomain_positions) * per
     rows = []
     for (a, b) in domain_positions:
@@ -467,8 +473,9 @@ def bracket_system(y: TwistedEndo, domain_positions=None,
         both = first_a[b]
         if both is not None and w[a][a] and w[b][b]:
             terms = [(base, cs) for base, cs in terms if base != both]
+            coords = model.prime_coords
             terms.append((both, [coords(c * w[b][b] + d * w[a][a])
-                                 for c, d in zip(basis, neg_sigma_basis)]))
+                                 for c, d in zip(*model._bracket_scalars)]))
         for t in range(per):
             row = [0] * width
             for base, cs in terms:

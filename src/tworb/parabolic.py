@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .fields import QuadraticExtensionModel
-from .linalg import (FLinearSystem, TwistedEndo, bracket_system, mat_add,
-                     reduce_row, row_echelon)
+from .linalg import (FLinearSystem, TwistedEndo, bracket_system, reduce_row,
+                     row_echelon)
 from .orbits import (JordanType, jordan_type_of, orbit_dimension,
                      standard_representative)
 
@@ -187,16 +187,21 @@ def _check_support(endo: TwistedEndo, mask: frozenset, what: str):
 
 
 class _LeviBlock(NamedTuple):
-    """The degree-0 part L_0 = [., X] on m of the certificate for one X.
+    """The degree-0 part L_0 = [., X] on m of the certificate for one X,
+    and the positions every sample of the case flattens on.
 
     ``kernel`` is a prime-field basis of ker L_0, each vector a tuple of
     (row, coefficient) pairs over the rows of bracket_system(., m), with
-    the m positions in sorted order.
+    the m positions in sorted order.  ``n_positions`` are the n positions
+    in sorted order, and ``domain`` is n_positions followed by the sorted
+    m positions, the domain _sample_rank flattens the bracket of W from.
     """
 
     rank_F: int     # dim_F [m, X]
     expected: int   # dim_F [m, X] + dim_F s_N
     kernel: tuple
+    n_positions: list
+    domain: list
 
 
 def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
@@ -207,8 +212,10 @@ def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
     """
     _check_support(x, shape.m_mask, "X")
     m = sorted(shape.m_mask)
+    n_positions = sorted(shape.n_mask)
     rank, kernel = bracket_system(x, m, m).rank_and_kernel()
-    return _LeviBlock(rank, rank + shape.dim_F_sN, tuple(kernel))
+    return _LeviBlock(rank, rank + shape.dim_F_sN, tuple(kernel),
+                      n_positions, [*n_positions, *m])
 
 
 def _combine(vec, rows) -> list:
@@ -220,22 +227,28 @@ def _combine(vec, rows) -> list:
     return acc
 
 
-def _sample_rank(shape: ParabolicShape, x: TwistedEndo, levi: _LeviBlock,
+def _sample_rank(x: TwistedEndo, levi: _LeviBlock,
                  y: TwistedEndo) -> tuple[TwistedEndo, int]:
     """The sample W = X + Y and dim_F [p, W], for X in m and Y in s_N.
 
-    By the block-triangular identity of the module docstring, which needs
-    exactly those supports, dim_F [p, W] = rank L_0 + rank(L : ker L_0 +
-    n -> n).  The bracket of W is flattened from n and then m onto n; the
-    rows of the second map are those of n and the kernel combinations of
-    the rows of m.  The rows of n go first, so the elimination pivots on
-    them before the denser kernel combinations: for (2, 2, 1) with Levi
-    types (1, 1), (2), (1) that takes 13 row updates instead of 56.
+    X is zero on n (_levi_block checked it lies in m) and Y is zero off
+    n, so W is X with Y's entries written over its n positions, with no
+    E-addition.  By the block-triangular identity of the module
+    docstring, which needs exactly those supports, dim_F [p, W] =
+    rank L_0 + rank(L : ker L_0 + n -> n).  The bracket of W is flattened
+    from the case's domain, n and then m, onto n; the rows of the second
+    map are those of n and the kernel combinations of the rows of m.  The
+    rows of n go first, so the elimination pivots on them before the
+    denser kernel combinations: for (2, 2, 1) with Levi types (1, 1),
+    (2), (1) that takes 13 row updates instead of 56.
     """
     model, n = x.model, x.n
-    w = TwistedEndo(model, n, mat_add(x.mat, y.mat))
-    n_pos = sorted(shape.n_mask)
-    rows = bracket_system(w, [*n_pos, *sorted(shape.m_mask)], n_pos).rows
+    n_pos = levi.n_positions
+    overlay = [list(r) for r in x.mat]
+    for i, j in n_pos:
+        overlay[i][j] = y.mat[i][j]
+    w = TwistedEndo(model, n, tuple(map(tuple, overlay)))
+    rows = bracket_system(w, levi.domain, n_pos).rows
     split = len(n_pos) * model.prime_dim_per_e_dim
     levi_rows = rows[split:]
     reduced = rows[:split] + tuple(_combine(v, levi_rows) for v in levi.kernel)
@@ -248,7 +261,7 @@ def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
     """Tangent-space equality [p, X+Y] = [m_P, X] + s_N, by exact ranks."""
     levi = _levi_block(shape, x)
     _check_support(y, shape.n_mask, "Y")
-    return _sample_rank(shape, x, levi, y)[1] == levi.expected
+    return _sample_rank(x, levi, y)[1] == levi.expected
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +276,8 @@ def sample_s_n(shape: ParabolicShape, model: QuadraticExtensionModel,
     rows = [[z] * n for _ in range(n)]
     for (a, b) in sorted(shape.n_mask):
         if model.kind == "rational":
-            rows[a][b] = model.el(rng.randint(1, SAMPLING_BOUND),
-                                  rng.randint(1, SAMPLING_BOUND))
+            rows[a][b] = model.el(rng.randrange(1, SAMPLING_BOUND + 1),
+                                  rng.randrange(1, SAMPLING_BOUND + 1))
         else:
             rows[a][b] = model.random_element(rng)
     return TwistedEndo(model, n, tuple(tuple(r) for r in rows))
@@ -276,7 +289,7 @@ def _ranked_samples(shape: ParabolicShape, x: TwistedEndo,
     drawn by sample_s_n from one random.Random(seed)."""
     rng = random.Random(seed)
     for _ in range(trials):
-        yield _sample_rank(shape, x, levi, sample_s_n(shape, x.model, rng))
+        yield _sample_rank(x, levi, sample_s_n(shape, x.model, rng))
 
 
 def blockwise_representative(shape: ParabolicShape, m_types,
@@ -344,11 +357,16 @@ class PorbReport:
     m_types: tuple[JordanType, ...]
     trials: int
     certified_trials: int = 0
-    failures: int = 0
     tangent_dim_checks: int = 0
     induced_type: JordanType | None = None
     constant_type: bool = True
     types_seen: list = field(default_factory=list)
+    rejected_trials: list = field(default_factory=list)  # 0-based indices
+
+    @property
+    def failures(self) -> int:
+        """Trials whose rank fell short of the certificate's."""
+        return len(self.rejected_trials)
 
     @property
     def ok(self) -> bool:
@@ -357,7 +375,8 @@ class PorbReport:
                 and self.induced_type == induced_row_sum(self.m_types))
 
     def to_json(self) -> dict:
-        """The report row; a failing case also lists every type seen."""
+        """The report row; a failing case also lists every type seen and
+        the indices of the trials whose rank fell short."""
         out = {
             "composition": list(self.composition),
             "m_types": [t.to_json() for t in self.m_types],
@@ -371,6 +390,7 @@ class PorbReport:
         }
         if not self.ok:
             out["types_seen"] = [t.to_json() for t in self.types_seen]
+            out["rejected_trials"] = list(self.rejected_trials)
         return out
 
 
@@ -393,9 +413,10 @@ def verify_porb(shape: ParabolicShape, m_types,
     induced_dim = (sum(orbit_dimension(t).dim_orbit_F for t in m_types)
                    + 2 * shape.dim_F_sN)
     has_induced_dim = {}
-    for w, rank in _ranked_samples(shape, x, levi, seed, trials):
+    samples = _ranked_samples(shape, x, levi, seed, trials)
+    for trial, (w, rank) in enumerate(samples):
         if rank != levi.expected:
-            report.failures += 1
+            report.rejected_trials.append(trial)
             continue
         report.certified_trials += 1
         t = jordan_type_of(w)

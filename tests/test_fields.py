@@ -318,3 +318,31 @@ def test_rational_element_rejects_other_operands():
         x + F9.one
     with pytest.raises(FieldModelError):
         F9.one * x
+
+
+# -- the bracket products of one entry, against E-multiplication --------------
+
+RAT32 = make_extension({"kind": "rational", "tau": "3/2"})
+F16 = make_extension({"kind": "finite", "p": 2, "e": 2})
+
+
+@st.composite
+def bracket_entries(draw):
+    model = draw(st.sampled_from([RAT, RAT32, F9, F16]))
+    if model.kind == "rational":
+        return model, RationalElement(model, (draw(payload_coords),
+                                              draw(payload_coords)))
+    return model, model.element_from_index(
+        draw(st.integers(0, model.element_count() - 1)))
+
+
+@given(bracket_entries())
+def test_basis_products_equal_the_products_in_e(case):
+    # the closed form over Q(sqrt(tau)) and the cached scalars over F_q both
+    # give coords(c * v) for c in the prime basis, then for c in -sigma of it
+    model, v = case
+    basis = model.prime_basis()
+    coords = model.prime_coords
+    by_c, by_neg_sigma_c = model._basis_products(v)
+    assert by_c == [coords(c * v) for c in basis]
+    assert by_neg_sigma_c == [coords(-sigma(c) * v) for c in basis]

@@ -28,6 +28,8 @@ RAT = make_extension({"kind": "rational", "tau": 2})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
 F16 = make_extension({"kind": "finite", "p": 2, "e": 2})
+# a non-integral radicand, sampled with Fraction payload entries
+RAT32 = make_extension({"kind": "rational", "tau": "3/2"})
 
 
 def endo(rows, model=RAT):
@@ -338,6 +340,9 @@ def test_kernel_dim_counts_domain_rows_in_F_dimensions():
 
 
 def _random_entry(model, rng):
+    if model is RAT32:
+        return model.el(*(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(2)))
     if model.kind == "rational":
         return model.el(rng.randint(-3, 3), rng.randint(-3, 3))
     return model.random_element(rng)
@@ -361,7 +366,7 @@ def _sparse_y(model, n, rng):
 
 def test_bracket_system_matches_generic_flattener():
     rng = random.Random(9)
-    for model in (RAT, F9, F16):
+    for model in (RAT, RAT32, F9, F16):
         for k in range(8):
             if k % 2:
                 n = rng.randint(3, 4)
@@ -382,6 +387,19 @@ def test_bracket_system_matches_generic_flattener():
                                    everything if domain is None else domain,
                                    lambda z: twisted_bracket(z, y), codomain)
                 assert fast.rows == slow.rows
+
+
+def test_twisted_powers_belong_to_the_endos_own_model_object():
+    # two equal models from separate calls: an identity cache keyed by model
+    # equality would hand the second map P_0 entries of the first model
+    for spec in ({"kind": "rational", "tau": 2}, {"kind": "finite", "p": 3}):
+        models = make_extension(spec), make_extension(spec)
+        assert models[0] == models[1] and models[0] is not models[1]
+        for model in models:
+            y = endo([[0, 1, 2], [0, 0, 1], [0, 0, 0]], model)
+            for k in range(5):
+                assert all(x.model is y.model
+                           for row in twisted_power(y, k) for x in row)
 
 
 def test_mat_inv_round_trip():

@@ -241,7 +241,10 @@ def test_split_rank_equals_the_full_bracket_rank(case):
 
     shape, x, y = case
     levi = parabolic._levi_block(shape, x)
-    w, rank = parabolic._sample_rank(shape, x, levi, y)
+    w, rank = parabolic._sample_rank(x, levi, y)
+    # W is X with Y written over n, which equals the entrywise sum
+    assert w.mat == tuple(tuple(x.mat[i][j] + y.mat[i][j]
+                                for j in range(x.n)) for i in range(x.n))
     assert rank == bracket_system(w, sorted(shape.p_mask)).rank_F()
     assert levi.rank_F == bracket_system(x, sorted(shape.m_mask)).rank_F()
     assert levi.expected == levi.rank_F + shape.dim_F_sN
@@ -367,7 +370,31 @@ def test_only_a_failing_porb_case_lists_the_types_seen(monkeypatch):
     assert not bad.constant_type and not bad.ok
     payload = bad.to_json()
     assert payload["types_seen"] == [[2, 1], [1, 1, 1]]
-    assert list(payload)[:-1] == list(good.to_json())
+    assert list(payload) == [*good.to_json(), "types_seen", "rejected_trials"]
+
+
+def test_only_a_failing_porb_case_lists_its_rejected_trials(monkeypatch):
+    import tworb.parabolic as parabolic
+
+    shape, types = standard_parabolic((2, 1)), zero_types((2, 1))
+    good = verify_porb(shape, types, RAT, trials=6, seed=3)
+    assert good.ok and good.failures == 0
+    real, calls = parabolic._sample_rank, itertools.count()
+
+    def short_on_odd_trials(*args):
+        w, rank = real(*args)
+        return w, rank - next(calls) % 2
+
+    monkeypatch.setattr(parabolic, "_sample_rank", short_on_odd_trials)
+    passing = verify_porb(shape, types, RAT, trials=6, seed=3)
+    assert passing.ok and passing.rejected_trials == [1, 3, 5]
+    assert passing.failures == 3 and passing.certified_trials == 3
+    assert "rejected_trials" not in passing.to_json()
+    monkeypatch.setattr(parabolic, "jordan_type_of", lambda y: T(1, 1, 1))
+    failing = verify_porb(shape, types, RAT, trials=6, seed=3)
+    assert not failing.ok
+    payload = failing.to_json()
+    assert payload["failures"] == 3 and payload["rejected_trials"] == [1, 3, 5]
 
 
 def test_verify_porb_draws_trials_samples_and_ranks_the_levi_once(
