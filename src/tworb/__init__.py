@@ -24,10 +24,9 @@ from .parabolic import (AdaptedParabolic, BadComposition, GenericityFailure,
                         verify_porb)
 from .ratfun import (BivariateRationalFunction, FactoredRationalFunction,
                      NonUnitDenominator)
-from .zeta import (ExponentTable, LocalZetaFactor, delta_matrix,
-                   exponent_table, homogeneity_identity_check,
-                   igusa_matrix_factor, local_zeta_model,
-                   scaling_exponent_check)
+from .zeta import (ExponentTable, delta_matrix, exponent_table,
+                   homogeneity_identity_check, igusa_matrix_factor,
+                   local_zeta_model, scaling_exponent_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -121,7 +121,7 @@ def suite_ux(cfg: RunConfig) -> list[dict]:
     for n in range(1, n_max + 1):
         for t in enumerate_orbits(n):
             ad = adapted_parabolic(t)
-            got = ad.dim_F_n - n_x_dim_oracle(t, model)
+            got = ad.dim_F_sN - n_x_dim_oracle(t, model)
             cases.append({"case": f"n={n} type={t}",
                           "ok": got == ad.dim_F_uX,
                           "dim_n_minus_nx": got, "dim_uX": ad.dim_F_uX})
@@ -174,7 +174,7 @@ def suite_igusa(cfg: RunConfig) -> list[dict]:
     order = min(cfg.series_order, 3)
     cases = []
     for d in (0, 1, 2):
-        series = igusa_matrix_factor(d).value.series_expand(order)
+        series = igusa_matrix_factor(d).to_ratfun().series_expand(order)
         for p in (2, 3):
             shells = igusa_shell_measures(d, p, order=order)
             got = [coeff.evaluate(p) for coeff in series]

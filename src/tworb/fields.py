@@ -30,13 +30,14 @@ model multiplies in E by the basis it built once.
 :class:`ExtElement` delegates each operation to its model's payload
 methods, four Python calls per ``+`` or ``*``.  The exact rational
 certificates (twisted powers, bracket systems) make tens of thousands of
-them per run, so :class:`RationalElement` computes ``+``, ``-``, ``*``,
-negation and truth itself, in one call each.  Finite elements are still
-plain ExtElements: a faster finite path lets the benchmark's
-``finite_census`` workload fit more passes into its fixed run time, and
-that workload's ``peak_rss_mb``, which inherits the benchmark driver's
-memory, then reads as a regression; the finite speed-up waits for that
-metric's fix.
+them per run, so :class:`RationalElement` computes ``+``, ``*``,
+negation and truth itself, in one call each.  It subtracts through ``+``
+and negation: a run makes only a few hundred subtractions.  Finite
+elements are still plain ExtElements: a faster finite path lets the
+benchmark's ``finite_census`` workload fit more passes into its fixed run
+time, and that workload's ``peak_rss_mb``, which inherits the benchmark
+driver's memory, then reads as a regression; the finite speed-up waits
+for that metric's fix.
 
 All arithmetic is exact; no floating point is used anywhere.  Elements
 are immutable and safe to share between parallel workers.
@@ -273,12 +274,13 @@ _ZERO = (0, 0)
 class RationalElement(ExtElement):
     """An element a + b*sqrt(tau) of a :class:`RationalModel`.
 
-    ``+``, ``-``, ``*``, unary ``-`` and ``bool`` compute on the payload
-    (a, b) in a single call each, with tau read from the model.  An operand
-    that is a RationalElement of the same model object is read directly,
-    and an int m is read as (m, 0) without building an element.  Any other
-    operand goes through :meth:`ExtElement._coerce`, so mixed models still
-    raise FieldModelError and equal models from separate calls combine.
+    ``+``, ``*``, unary ``-`` and ``bool`` compute on the payload (a, b) in
+    a single call each, with tau read from the model; ``x - y`` is
+    ``x + (-y)`` and ``m - x`` is ``(-x) + m``.  An operand that is a
+    RationalElement of the same model object is read directly, and an int
+    m is read as (m, 0) without building an element.  Any other operand
+    goes through :meth:`ExtElement._coerce`, so mixed models still raise
+    FieldModelError and equal models from separate calls combine.
     """
 
     __slots__ = ()
@@ -307,32 +309,14 @@ class RationalElement(ExtElement):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is RationalElement and other.model is self.model:
-            c, d = other.payload
-        else:
-            cd = self._other_payload(other)
-            if cd is None:
-                return NotImplemented
-            c, d = cd
-        a, b = self.payload
-        r = _new(RationalElement)
-        r.model = self.model
-        r.payload = (a - c, b - d)
-        return r
+        if not isinstance(other, (int, ExtElement)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
-        if type(other) is RationalElement and other.model is self.model:
-            c, d = other.payload
-        else:
-            cd = self._other_payload(other)
-            if cd is None:
-                return NotImplemented
-            c, d = cd
-        a, b = self.payload
-        r = _new(RationalElement)
-        r.model = self.model
-        r.payload = (c - a, d - b)
-        return r
+        if not isinstance(other, (int, ExtElement)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
         if type(other) is RationalElement and other.model is self.model:

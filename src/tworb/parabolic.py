@@ -4,9 +4,9 @@ Two kinds of block decompositions appear:
 
 * :class:`ParabolicShape`, from a composition of n: the flag stabilizer
   P = MN with block-diagonal mask s_M, strictly-upper mask s_N.
-* :class:`AdaptedParabolic`, from a Jordan type: the (i, j) block grid of
-  the standard representative, with masks for m, n and the excess space
-  u_X that measures N_X\\N.
+* :class:`AdaptedParabolic`, from a Jordan type: the ParabolicShape of
+  the (i, j) block grid of the standard representative, plus the mask of
+  the excess space u_X that measures N_X\\N.
 
 Induction samples Y in s_N from a seeded pool and certifies each sample
 with an exact rank computation (equality of tangent spaces); certified
@@ -66,44 +66,27 @@ class ParabolicShape:
     n: int
     m_mask: frozenset
     n_mask: frozenset
-    nbar_mask: frozenset
-
-    @property
-    def dim_F_sM(self) -> int:
-        return 2 * len(self.m_mask)
 
     @property
     def dim_F_sN(self) -> int:
         return 2 * len(self.n_mask)
 
-    @property
-    def dim_F_sNbar(self) -> int:
-        return 2 * len(self.nbar_mask)
 
-    @property
-    def p_mask(self) -> frozenset:
-        return self.m_mask | self.n_mask
+def _block_masks(comp: tuple[int, ...]) -> tuple[int, frozenset, frozenset]:
+    """n and the m and n masks of the blocks of sizes comp, in order: m on
+    the diagonal blocks, n where the row block comes first."""
+    block = [b for b, size in enumerate(comp) for _ in range(size)]
+    n = len(block)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return (n, frozenset((a, b) for a, b in pairs if block[a] == block[b]),
+            frozenset((a, b) for a, b in pairs if block[a] < block[b]))
 
 
 def standard_parabolic(comp) -> ParabolicShape:
     comp = tuple(int(c) for c in comp)
     if not comp or any(c < 1 for c in comp):
         raise BadComposition(f"composition parts must be >= 1: {comp}")
-    n = sum(comp)
-    block = []
-    for b, size in enumerate(comp):
-        block.extend([b] * size)
-    m_mask, n_mask, nbar_mask = set(), set(), set()
-    for a in range(n):
-        for b in range(n):
-            if block[a] == block[b]:
-                m_mask.add((a, b))
-            elif block[a] < block[b]:
-                n_mask.add((a, b))
-            else:
-                nbar_mask.add((a, b))
-    return ParabolicShape(comp, n, frozenset(m_mask), frozenset(n_mask),
-                          frozenset(nbar_mask))
+    return ParabolicShape(comp, *_block_masks(comp))
 
 
 # ---------------------------------------------------------------------------
@@ -111,24 +94,19 @@ def standard_parabolic(comp) -> ParabolicShape:
 
 
 @dataclass(frozen=True)
-class AdaptedParabolic:
+class AdaptedParabolic(ParabolicShape):
     """Block grid of the standard representative's basis.
 
     Groups are the (i, j) pieces, 1 <= i <= j <= r with d_j >= 1, in basis
     order (level i ascending, j descending inside a level); each group has
-    size d_j.  The u_X condition on a pair source=(i, j), target=(i', j')
-    is exactly: i - 1 > i', or i = i' + 1 and j < j'.
+    size d_j, and the composition is the group sizes.  The u_X condition
+    on a pair source=(i, j), target=(i', j') is exactly: i - 1 > i', or
+    i = i' + 1 and j < j'.
     """
 
     jordan_type: JordanType
     groups: tuple  # (i, j, offset, size)
-    m_mask: frozenset
-    n_mask: frozenset
     u_mask: frozenset
-
-    @property
-    def dim_F_n(self) -> int:
-        return 2 * len(self.n_mask)
 
     @property
     def dim_F_uX(self) -> int:
@@ -144,27 +122,15 @@ def adapted_parabolic(t: JordanType) -> AdaptedParabolic:
             if d[j] > 0:
                 groups.append((i, j, offset, d[j]))
                 offset += d[j]
-    assert offset == t.n
-
-    def positions(tgt, src):
-        _, _, toff, tsize = tgt
-        _, _, soff, ssize = src
-        return [(toff + a, soff + b) for a in range(tsize)
-                for b in range(ssize)]
-
-    m_mask, n_mask, u_mask = set(), set(), set()
-    for src in groups:
-        i, j = src[0], src[1]
-        for tgt in groups:
-            ip, jp = tgt[0], tgt[1]
-            if (i, j) == (ip, jp):
-                m_mask.update(positions(tgt, src))
-            elif i > ip or (i == ip and j < jp):
-                n_mask.update(positions(tgt, src))
-            if i >= 2 and (i - 1 > ip or (i == ip + 1 and j < jp)):
-                u_mask.update(positions(tgt, src))
-    return AdaptedParabolic(t, tuple(groups), frozenset(m_mask),
-                            frozenset(n_mask), frozenset(u_mask))
+    comp = tuple(size for *_, size in groups)
+    u_mask = frozenset(
+        (toff + a, soff + b)
+        for i, j, soff, ssize in groups if i >= 2
+        for ip, jp, toff, tsize in groups
+        if i - 1 > ip or (i == ip + 1 and j < jp)
+        for a in range(tsize) for b in range(ssize))
+    return AdaptedParabolic(comp, *_block_masks(comp), t, tuple(groups),
+                            u_mask)
 
 
 def n_x_dim_oracle(t: JordanType, model: QuadraticExtensionModel) -> int:
@@ -439,9 +405,12 @@ def flag_fixed_count(y: TwistedEndo) -> int:
 
     Exhaustive enumeration; needs the finite model and small n.  This is
     the point-count oracle behind the Springer-dimension formula and the
-    stable-flag reading of the fixed-flag condition.  Each step is keyed
-    by its row_echelon form.  A step V' = V + <r> over a stable V is
-    stable iff it contains Y sigma(r), since the map is sigma-semilinear.
+    stable-flag reading of the fixed-flag condition.  A step V' over V,
+    with V in row_echelon form, holds a line of vectors zero at V's pivot
+    columns, and exactly one of them has a leading one: the vector r
+    enumerated per free column ``lead``, so each step is named once.
+    V' = V + <r> over a stable V is stable iff it contains Y sigma(r),
+    since the map is sigma-semilinear.
     """
     model, n = y.model, y.n
     if model.kind != "finite":
@@ -457,18 +426,18 @@ def flag_fixed_count(y: TwistedEndo) -> int:
         """Stable flags through the stable span with echelon form rows."""
         if len(rows) == n - 1:
             return 1
+        pivots = {next(j for j, x in enumerate(b) if x) for b in rows}
+        free = [j for j in range(n) if j not in pivots]
         total = 0
-        seen = set()
-        for w in itertools.product(elems, repeat=n):
-            r = reduce_row(rows, w)
-            if not any(r):
-                continue
-            key = row_echelon(rows + (r,))
-            if key in seen:
-                continue
-            seen.add(key)
-            if not any(reduce_row(key, apply_x(r))):
-                total += count_from(key)
+        for k, lead in enumerate(free):
+            for tail in itertools.product(elems, repeat=len(free) - k - 1):
+                r = [model.zero] * n
+                r[lead] = model.one
+                for j, x in zip(free[k + 1:], tail):
+                    r[j] = x
+                key = row_echelon(rows + (r,))
+                if not any(reduce_row(key, apply_x(r))):
+                    total += count_from(key)
         return total
 
     return count_from(())

@@ -39,14 +39,6 @@ class ExponentTable:
     half_dim: int
     c: int
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.jordan_type.to_json(),
-            "table": [en.to_json() for en in self.entries],
-            "half_dim": self.half_dim,
-            "c": self.c,
-        }
-
 
 def exponent_table(t: JordanType) -> ExponentTable:
     d = t.multiplicities()
@@ -120,21 +112,7 @@ def delta_matrix(t: JordanType, blocks: dict,
 # exact local factors
 
 
-@dataclass(frozen=True)
-class LocalZetaFactor:
-    """One exact factor in factored form, with enough provenance to
-    transform it under lattice scaling: (i, j, d_j, e_ij, j - i), or None
-    for a bare matrix Igusa factor."""
-
-    form: FactoredRationalFunction
-    provenance: tuple | None = None
-
-    @property
-    def value(self) -> BivariateRationalFunction:
-        return self.form.to_ratfun()
-
-
-def igusa_matrix_factor(d: int) -> LocalZetaFactor:
+def igusa_matrix_factor(d: int) -> FactoredRationalFunction:
     """The determinant integral over integral d x d matrices.
 
     Product over k < d of (1 - q^-(k+1)) / (1 - q^-(k+1) T); its T-series
@@ -146,23 +124,20 @@ def igusa_matrix_factor(d: int) -> LocalZetaFactor:
     for a in range(1, d + 1):
         factors[(a, 0)] = 1   # 1 - q^-a
         factors[(a, 1)] = -1  # over 1 - q^-a T
-    return LocalZetaFactor(FactoredRationalFunction(factors=factors))
+    return FactoredRationalFunction(factors=factors)
 
 
-def local_zeta_factors(t: JordanType) -> list[LocalZetaFactor]:
-    """One factor per exponent-table entry, T shifted per its exponent."""
-    out = []
-    for en in exponent_table(t).entries:
-        base = igusa_matrix_factor(en.d_j).form
-        out.append(LocalZetaFactor(base.substitute_T(en.e, en.s_coeff),
-                                   (en.i, en.j, en.d_j, en.e, en.s_coeff)))
-    return out
+def local_zeta_factors(t: JordanType) -> list[FactoredRationalFunction]:
+    """One factor per entry of exponent_table(t), in table order, with T
+    shifted per the entry's exponent."""
+    return [igusa_matrix_factor(en.d_j).substitute_T(en.e, en.s_coeff)
+            for en in exponent_table(t).entries]
 
 
 def local_zeta_model(t: JordanType) -> BivariateRationalFunction:
     form = FactoredRationalFunction()
     for f in local_zeta_factors(t):
-        form = form * f.form
+        form = form * f
     return form.to_ratfun()
 
 
@@ -181,14 +156,13 @@ def scaling_exponent_check(t: JordanType, k: int) -> bool:
         raise ValueError("k must be >= 1")
     original = FactoredRationalFunction()
     transformed = FactoredRationalFunction(-k * dim_F_uX(t), 0)
-    for f in local_zeta_factors(t):
-        _, _, d_j, e, s_coeff = f.provenance
-        original = original * f.form
+    table = exponent_table(t)
+    for en, f in zip(table.entries, local_zeta_factors(t)):
+        original = original * f
         transformed = transformed * FactoredRationalFunction(
-            -k * 2 * d_j * e, k * 2 * d_j * s_coeff) * f.form
-    inv = orbit_dimension(t)
+            -k * 2 * en.d_j * en.e, k * 2 * en.d_j * en.s_coeff) * f
     return transformed / original == FactoredRationalFunction(
-        -k * inv.half_dim, k * inv.c_exponent)
+        -k * table.half_dim, k * table.c)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_criterion_3_ux_dimension():
         for n in range(1, 6):
             for t in enumerate_orbits(n):
                 ad = adapted_parabolic(t)
-                assert ad.dim_F_uX == ad.dim_F_n - n_x_dim_oracle(t, model), \
+                assert ad.dim_F_uX == ad.dim_F_sN - n_x_dim_oracle(t, model), \
                     (model, t)
                 cases += 1
     _report(3, "dim u_X = dim n - dim n_X, n<=5, both field models",
@@ -157,7 +157,7 @@ def test_criterion_8_igusa_oracle():
     started = time.time()
     cases = 0
     for d in (0, 1, 2):
-        series = igusa_matrix_factor(d).value.series_expand(3)
+        series = igusa_matrix_factor(d).to_ratfun().series_expand(3)
         for p in (2, 3):
             shells = igusa_shell_measures(d, p, modulus_exp=4, order=3)
             got = [c.evaluate(p) for c in series]

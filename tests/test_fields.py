@@ -320,6 +320,31 @@ def test_rational_element_rejects_other_operands():
         F9.one * x
 
 
+def test_rational_subtraction_protocol():
+    x, y = RAT.el(Fraction(1, 3), 2), RAT.el(5, Fraction(-1, 2))
+    assert x - y == x + (-y) == RAT.el(Fraction(-14, 3), Fraction(5, 2))
+    assert x - 4 == RAT.el(Fraction(-11, 3), 2)
+    assert 4 - x == RAT.el(Fraction(11, 3), -2)
+    # an equal model from a separate call combines, on either side
+    rat2 = make_extension({"kind": "rational", "tau": 2})
+    z = rat2.el(1, 1)
+    assert x - z == RAT.el(Fraction(-2, 3), 1)
+    assert z - x == RAT.el(Fraction(2, 3), -1)
+    rat3 = make_extension({"kind": "rational", "tau": 3})
+    for other in (rat3.gen, F9.one):
+        with pytest.raises(FieldModelError):
+            x - other
+        with pytest.raises(FieldModelError):
+            other - x
+    # any other operand is left to its own type, which refuses it
+    assert x.__sub__(1.5) is NotImplemented
+    assert x.__rsub__("a") is NotImplemented
+    with pytest.raises(TypeError):
+        x - 1.5
+    with pytest.raises(TypeError):
+        "a" - x
+
+
 # -- the bracket products of one entry, against E-multiplication --------------
 
 RAT32 = make_extension({"kind": "rational", "tau": "3/2"})

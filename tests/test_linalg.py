@@ -380,7 +380,7 @@ def test_bracket_system_matches_generic_flattener():
             shape = standard_parabolic(rng.choice(list(_all_compositions(n))))
             # None is every position, the default
             spans = (None, sorted(shape.m_mask), sorted(shape.n_mask),
-                     sorted(shape.p_mask))
+                     sorted(shape.m_mask | shape.n_mask))
             for domain, codomain in itertools.product(spans, spans):
                 fast = bracket_system(y, domain, codomain)
                 slow = flatten_map(model, n,

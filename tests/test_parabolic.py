@@ -49,7 +49,6 @@ def test_standard_parabolic_full_block():
     shape = standard_parabolic((3,))
     assert shape.n_mask == frozenset()
     assert len(shape.m_mask) == 9
-    assert shape.dim_F_sM == 18
 
 
 def test_standard_parabolic_borel_n2():
@@ -61,8 +60,7 @@ def test_standard_parabolic_borel_n2():
 def test_standard_parabolic_21():
     shape = standard_parabolic((2, 1))
     assert shape.dim_F_sN == 4
-    assert len(shape.m_mask) + len(shape.n_mask) + len(shape.nbar_mask) == 9
-    assert shape.dim_F_sM + shape.dim_F_sN + shape.dim_F_sNbar == 18
+    assert len(shape.m_mask) == 5 and len(shape.n_mask) == 2
 
 
 def test_standard_parabolic_rejects_bad_composition():
@@ -76,11 +74,12 @@ def test_masks_disjoint_and_exhaustive():
     for comp in [(1, 2), (2, 2), (1, 1, 1), (4,)]:
         shape = standard_parabolic(comp)
         n = shape.n
+        nbar_mask = {(b, a) for a, b in shape.n_mask}
         everything = {(i, j) for i in range(n) for j in range(n)}
-        assert shape.m_mask | shape.n_mask | shape.nbar_mask == everything
+        assert shape.m_mask | shape.n_mask | nbar_mask == everything
         assert not (shape.m_mask & shape.n_mask)
-        assert not (shape.m_mask & shape.nbar_mask)
-        assert not (shape.n_mask & shape.nbar_mask)
+        assert not (shape.m_mask & nbar_mask)
+        assert not (shape.n_mask & nbar_mask)
 
 
 # -- adapted parabolic and u_X -----------------------------------------------
@@ -101,6 +100,16 @@ def test_adapted_parabolic_representative_in_n_mask():
         nonzero = {(i, j) for i in range(t.n) for j in range(t.n)
                    if rep.mat[i][j]}
         assert nonzero <= ad.n_mask
+
+
+def test_adapted_mask_sizes_closed_form():
+    # m is the j groups of size d_j per block size j; n is half the rest
+    for n in range(9):
+        for t in enumerate_orbits(n):
+            ad = adapted_parabolic(t)
+            levi = sum(j * t.d(j) ** 2 for j in range(1, t.r + 1))
+            assert len(ad.m_mask) == levi, t
+            assert len(ad.n_mask) == (n * n - levi) // 2, t
 
 
 def test_adapted_u_mask_inside_n_mask():
@@ -133,10 +142,10 @@ def test_embed_m_x_commutes_with_representative():
 def test_n_x_dim_oracle_examples():
     assert n_x_dim_oracle(T(1, 1, 1), RAT) == 0
     ad2 = adapted_parabolic(T(2))
-    assert ad2.dim_F_n == 2
+    assert ad2.dim_F_sN == 2
     assert n_x_dim_oracle(T(2), RAT) == 2
     ad31 = adapted_parabolic(T(3, 1))
-    assert n_x_dim_oracle(T(3, 1), RAT) == ad31.dim_F_n - 4
+    assert n_x_dim_oracle(T(3, 1), RAT) == ad31.dim_F_sN - 4
 
 
 def test_u_x_dimension_identity_both_models():
@@ -144,7 +153,7 @@ def test_u_x_dimension_identity_both_models():
         for n in range(1, 6):
             for t in enumerate_orbits(n):
                 ad = adapted_parabolic(t)
-                assert ad.dim_F_uX == ad.dim_F_n - n_x_dim_oracle(t, model), t
+                assert ad.dim_F_uX == ad.dim_F_sN - n_x_dim_oracle(t, model), t
 
 
 # -- rank criterion -----------------------------------------------------------
@@ -245,7 +254,8 @@ def test_split_rank_equals_the_full_bracket_rank(case):
     # W is X with Y written over n, which equals the entrywise sum
     assert w.mat == tuple(tuple(x.mat[i][j] + y.mat[i][j]
                                 for j in range(x.n)) for i in range(x.n))
-    assert rank == bracket_system(w, sorted(shape.p_mask)).rank_F()
+    assert rank == bracket_system(
+        w, sorted(shape.m_mask | shape.n_mask)).rank_F()
     assert levi.rank_F == bracket_system(x, sorted(shape.m_mask)).rank_F()
     assert levi.expected == levi.rank_F + shape.dim_F_sN
     if shape.n_mask and not any(map(any, y.mat)):
@@ -484,12 +494,22 @@ def test_flag_counts_q2():
     assert flag_fixed_count(standard_representative(T(2, 1), F4)) == 9
     assert flag_fixed_count(standard_representative(T(1, 1, 1), F4)) == 105
     assert flag_fixed_count(standard_representative(T(3), F4)) == 1
+    # n = 4: the zero map fixes all 85 * 21 * 5 complete flags of E^4
+    for parts, count in [((4,), 1), ((3, 1), 13), ((2, 2), 45),
+                         ((2, 1, 1), 285), ((1, 1, 1, 1), 8925)]:
+        assert flag_fixed_count(
+            standard_representative(T(*parts), F4)) == count, parts
+
+
+def test_flag_counts_over_f16():
+    # E = F_16 (e = 2): the zero map of E^3 fixes its 273 * 17 flags
+    assert flag_fixed_count(standard_representative(T(1, 1, 1), F16)) == 4641
 
 
 def test_flag_count_inverts_only_pivots_that_are_not_one(monkeypatch):
-    # row_echelon runs on an echelon basis plus one reduced vector; the
-    # basis rows' leading ones are neither inverted nor scaled, which
-    # leaves 882 of the 2,583 pivots that (1, 1, 1) over F_4 meets
+    # row_echelon runs on an echelon basis plus one vector with a leading
+    # one, zero at the basis pivots, so every pivot it meets is one and
+    # none is inverted
     import tworb.fields as fields
 
     inverted = []
@@ -501,8 +521,7 @@ def test_flag_count_inverts_only_pivots_that_are_not_one(monkeypatch):
 
     monkeypatch.setattr(fields.ExtElement, "inverse", spy)
     assert flag_fixed_count(standard_representative(T(1, 1, 1), F4)) == 105
-    assert len(inverted) == 882
-    assert all(x != F4.one for x in inverted)
+    assert inverted == []
 
 
 def test_flag_counts_over_an_odd_prime():

@@ -223,7 +223,7 @@ def _catalog_forms(n_max):
         for t in enumerate_orbits(n):
             form = FRF()
             for f in local_zeta_factors(t):
-                form = form * f.form
+                form = form * f
             yield t, form
 
 

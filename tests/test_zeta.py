@@ -130,15 +130,15 @@ def test_homogeneity_identity_sweep_n12():
 
 
 def test_igusa_d0_is_one():
-    assert igusa_matrix_factor(0).value.to_json() == ONE.to_json()
+    assert igusa_matrix_factor(0).to_ratfun().to_json() == ONE.to_json()
 
 
 def test_igusa_d1_formula():
     f = igusa_matrix_factor(1)
-    assert f.value.to_json() == BRF(Q - 1, Q - TVAR).to_json()
-    assert f.form.factors == {(1, 0): 1, (1, 1): -1}
+    assert f.to_ratfun().to_json() == BRF(Q - 1, Q - TVAR).to_json()
+    assert f.factors == {(1, 0): 1, (1, 1): -1}
     # geometric shells: coefficient of T^m is (1 - q^-1) q^-m
-    coeffs = f.value.series_expand(3)
+    coeffs = f.to_ratfun().series_expand(3)
     for m, c in enumerate(coeffs):
         assert c.to_json() == BRF(Q - 1, Q ** (m + 1)).to_json()
 
@@ -146,7 +146,7 @@ def test_igusa_d1_formula():
 def test_igusa_unit_cell_constant_term():
     # T^0 coefficient is the measure of the invertible cell
     for d in (1, 2, 3):
-        c0 = igusa_matrix_factor(d).value.series_expand(0)[0]
+        c0 = igusa_matrix_factor(d).to_ratfun().series_expand(0)[0]
         expected = BRF(1)
         for k in range(d):
             expected = expected * (BRF(1) - BRF.monomial(-(k + 1), 0))
@@ -155,7 +155,7 @@ def test_igusa_unit_cell_constant_term():
 
 def test_igusa_series_nonnegative_and_summable():
     for d in (1, 2):
-        coeffs = igusa_matrix_factor(d).value.series_expand(6)
+        coeffs = igusa_matrix_factor(d).to_ratfun().series_expand(6)
         for p in (2, 3, 5):
             vals = [c.evaluate(p) for c in coeffs]
             assert all(v >= 0 for v in vals)
@@ -168,7 +168,7 @@ def test_shell_tally_matches_naive_enumeration_p2():
 
 def test_igusa_matches_shell_measures():
     for d in (0, 1, 2):
-        series = igusa_matrix_factor(d).value.series_expand(3)
+        series = igusa_matrix_factor(d).to_ratfun().series_expand(3)
         for p in (2, 3):
             shells = igusa_shell_measures(d, p)
             assert [c.evaluate(p) for c in series] == shells, (d, p)
@@ -211,24 +211,29 @@ def test_local_model_matches_sympy_product_n5():
     # oracle: each factor built and shifted in sympy, then the iterated
     # sympy product of the rendered factor values
     for d in range(4):
-        assert igusa_matrix_factor(d).value.to_json() == \
+        assert igusa_matrix_factor(d).to_ratfun().to_json() == \
             _sympy_igusa_value(d).to_json(), d
     for n in range(1, 6):
         for t in enumerate_orbits(n):
             product = BRF(1)
-            for f in local_zeta_factors(t):
-                _, _, d_j, e, s_coeff = f.provenance
-                shifted = _sympy_igusa_value(d_j).substitute_T(e, s_coeff)
-                assert f.value.to_json() == shifted.to_json(), t
+            entries = exponent_table(t).entries
+            factors = local_zeta_factors(t)
+            assert len(factors) == len(entries), t
+            for en, f in zip(entries, factors):
+                shifted = _sympy_igusa_value(en.d_j).substitute_T(
+                    en.e, en.s_coeff)
+                assert f.to_ratfun().to_json() == shifted.to_json(), t
                 product = product * shifted
             assert local_zeta_model(t).to_json() == product.to_json(), t
 
 
 def test_local_factor_provenance():
-    factors = local_zeta_factors(T(3, 1))
-    assert [f.provenance for f in factors] == \
+    # one factor per exponent-table entry, in table order
+    entries = exponent_table(T(3, 1)).entries
+    assert [(en.i, en.j, en.d_j, en.e, en.s_coeff) for en in entries] == \
         [(1, 3, 1, 2, 2), (2, 3, 1, 1, 1)]
-    assert factors[0].form.factors == {(1, 0): 1, (3, 2): -1}
+    assert [f.factors for f in local_zeta_factors(T(3, 1))] == \
+        [{(1, 0): 1, (3, 2): -1}, {(1, 0): 1, (2, 1): -1}]
 
 
 def test_scaling_exponent_examples():
@@ -242,15 +247,13 @@ def test_scaling_factor_values():
     from tworb.zeta import local_zeta_factors as lzf
 
     t = T(2)
-    factors = lzf(t)
     transformed = BRF.monomial(-dim_F_uX(t), 0)
     original = BRF(1)
-    for f in factors:
-        _, _, d_j, e, s_coeff = f.provenance
-        value = from_json(f.value.to_json())
+    for en, f in zip(exponent_table(t).entries, lzf(t)):
+        value = from_json(f.to_ratfun().to_json())
         original = original * value
         transformed = transformed * (
-            BRF.monomial(-2 * d_j * e, 2 * d_j * s_coeff) * value)
+            BRF.monomial(-2 * en.d_j * en.e, 2 * en.d_j * en.s_coeff) * value)
     assert transformed / original == BRF.monomial(-2, 2)
 
     inv31 = orbit_dimension(T(3, 1))
