@@ -10,9 +10,8 @@ Z Y - Y sigma(Z).  All reported dimensions are over the base field F.
 from .fields import (ExtElement, FieldModelError, NotPrime,
                      QuadraticExtensionModel, RadicandIsSquare,
                      make_extension, norm, sigma)
-from .linalg import (FLinearSystem, NotNilpotent, SingularMatrix, TwistedEndo,
-                     is_nilpotent, sigma_conjugate,
-                     twisted_bracket, twisted_power)
+from .linalg import (FLinearSystem, NotNilpotent, TwistedEndo, is_nilpotent,
+                     twisted_power)
 from .orbits import (BudgetExceeded, JordanType, OrbitInvariants,
                      centralizer_dim_oracle, check_dimHY, enumerate_orbits,
                      jordan_type_of, orbit_census, orbit_dimension,

@@ -5,6 +5,9 @@ as an n x n matrix Y over E acting by v -> Y * sigma(v), with sigma applied
 entrywise to v.  Under this convention the k-th power of the map is the
 alternating product Y * sigma(Y) * Y * ... with k factors, and the
 differentiated twisted action of Z in gl_n(E) is Z*Y - Y*sigma(Z).
+twisted_power multiplies it out on the right, P_(k+1) = P_k *
+sigma^k(Y): each new factor is Y or sigma(Y), and the left factor is the
+power itself, whose zero entries, more as the powers fall, mat_mul skips.
 
 All F-linear questions (centralizers, brackets, ranks) are answered by
 flattening E-coordinates over the prime field: over Q(sqrt(tau)) in the
@@ -20,10 +23,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .fields import ExtElement, QuadraticExtensionModel
-
-
-class SingularMatrix(ValueError):
-    pass
 
 
 class NotNilpotent(ValueError):
@@ -93,10 +92,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sigma(model, a: Matrix) -> Matrix:
     s = model.sigma
     return tuple([tuple([s(x) for x in row]) for row in a])
@@ -116,7 +111,7 @@ def mat_rank(a: Matrix) -> int:
     Over the domain Z[sqrt(tau)] the entries stay ints, and its rank
     equals the rank over the fraction field E.
     """
-    return _rank([list(r) for r in a])
+    return len(_rank([list(r) for r in a]))
 
 
 def row_echelon(rows) -> Matrix:
@@ -170,20 +165,6 @@ def reduce_row(basis: Matrix, row) -> list:
     return cur
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse over E: the row_echelon form of [A | I] is [I | A^-1].
-
-    [A | I] has rank n, so its form has n rows; A is singular exactly
-    when the last of them has its leading one right of column n - 1.
-    """
-    n = len(a)
-    form = row_echelon([[*row, *idrow] for row, idrow in
-                        zip(a, mat_identity(a[0][0].model, n))])
-    if not form[-1][n - 1]:
-        raise SingularMatrix("matrix over E is singular")
-    return tuple(row[n:] for row in form)
-
-
 # ---------------------------------------------------------------------------
 # twisted endomorphisms
 
@@ -192,14 +173,17 @@ def mat_inv(a: Matrix) -> Matrix:
 class TwistedEndo:
     """The sigma-linear map v -> Y * sigma(v) on E^n.
 
-    ``_powers`` holds the twisted powers P_0, P_1, ... made so far (see
-    twisted_power); it takes no part in ==, hash or dataclasses.replace.
+    ``_powers`` holds the twisted powers P_0, P_1, ... made so far and
+    ``_sigma_mat`` is sigma(Y) once a power needs it (see twisted_power);
+    neither takes part in ==, hash or dataclasses.replace.
     """
 
     model: QuadraticExtensionModel
     n: int
     mat: Matrix
     _powers: tuple = field(default=(), init=False, repr=False, compare=False)
+    _sigma_mat: Matrix | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @classmethod
     def from_rows(cls, model, rows) -> "TwistedEndo":
@@ -216,31 +200,31 @@ class TwistedEndo:
 def twisted_power(y: TwistedEndo, k: int) -> Matrix:
     """Matrix of the k-th power: the alternating product with k factors.
 
-    The powers are memoized on ``y``: a call makes only the products no
-    earlier call made, and none past the first zero power, which every
-    later power equals.  Each longer tuple is published whole, so callers
-    sharing ``y`` can at worst make a product twice.
+    P_1 = Y * sigma(I), and P_(k+1) = P_k * sigma^k(Y) for k >= 1, as
+    Y^k(Y sigma(v)) = P_k sigma^k(Y) sigma^(k+1)(v): the factor is Y for
+    even k and sigma(Y), made once per ``y``, for odd k.  By
+    associativity these are the alternating products.  The powers are
+    memoized on ``y``: a call makes only the products no earlier call
+    made, and none past the first zero power, which every later power
+    equals.  Each longer tuple is published whole, so callers sharing
+    ``y`` can at worst make a product twice.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    powers = y._powers or (mat_identity(y.model, y.n),)
+    model = y.model
+    powers = y._powers or (mat_identity(model, y.n),)
     while len(powers) <= k and not mat_is_zero(powers[-1]):
-        powers += (mat_mul(y.mat, mat_sigma(y.model, powers[-1])),)
+        if len(powers) == 1:
+            new = mat_mul(y.mat, mat_sigma(model, powers[0]))
+        elif len(powers) % 2:
+            new = mat_mul(powers[-1], y.mat)
+        else:
+            if y._sigma_mat is None:
+                object.__setattr__(y, "_sigma_mat", mat_sigma(model, y.mat))
+            new = mat_mul(powers[-1], y._sigma_mat)
+        powers += (new,)
         object.__setattr__(y, "_powers", powers)
     return powers[min(k, len(powers) - 1)]
-
-
-def sigma_conjugate(h: Matrix, y: TwistedEndo) -> TwistedEndo:
-    """h * Y * sigma(h)^(-1); preserves the Jordan type."""
-    model = y.model
-    sh_inv = mat_inv(mat_sigma(model, h))
-    return TwistedEndo(model, y.n, mat_mul(mat_mul(h, y.mat), sh_inv))
-
-
-def twisted_bracket(z: Matrix, y: TwistedEndo) -> Matrix:
-    """Differentiated action of gl_n(E): Z*Y - Y*sigma(Z); F-linear in Z."""
-    model = y.model
-    return mat_sub(mat_mul(z, y.mat), mat_mul(y.mat, mat_sigma(model, z)))
 
 
 def is_nilpotent(y: TwistedEndo) -> bool:
@@ -258,10 +242,13 @@ def is_nilpotent(y: TwistedEndo) -> bool:
 # exact rank / kernel over the base field
 
 
-def _rank(rows: list[list], reduce=None, ncols=None) -> int:
-    """Rank of a matrix over a domain, by division-free elimination.
+def _rank(rows: list[list], reduce=None, ncols=None) -> list[int]:
+    """Pivot columns of a matrix over a domain, by division-free
+    elimination; their number is the rank.
 
-    Eliminates in place, so ``rows`` is consumed.  Only rows with a
+    Columns are taken left to right, so the pivot columns are the greedy
+    basis among the columns: each is outside the span of those before
+    it.  Eliminates in place, so ``rows`` is consumed.  Only rows with a
     nonzero entry in the pivot column change: each becomes
     piv * row - f * pivot_row on the columns right of the pivot, passed
     through ``reduce`` when one is given.  No inverse is taken, and
@@ -272,8 +259,9 @@ def _rank(rows: list[list], reduce=None, ncols=None) -> int:
     nrows = len(rows)
     if ncols is None:
         ncols = len(rows[0]) if nrows else 0
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         for i in range(rank, nrows):
             if rows[i][col]:
                 break
@@ -287,10 +275,10 @@ def _rank(rows: list[list], reduce=None, ncols=None) -> int:
             if f:
                 new = [pval * x - f * y for x, y in zip(ri[col + 1:], tail)]
                 ri[col + 1:] = new if reduce is None else reduce(new)
-        rank += 1
-        if rank == nrows:
+        pivots.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return pivots
 
 
 def _content_free(row: list[int]) -> list[int]:
@@ -298,10 +286,10 @@ def _content_free(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, consuming ``rows``: fraction-free
-    elimination that divides each updated row by the gcd of its entries,
-    which divides every entry exactly and keeps them small."""
+def _rank_int(rows: list[list[int]]) -> list[int]:
+    """Pivot columns over Q of an integer matrix, consuming ``rows``:
+    fraction-free elimination that divides each updated row by the gcd of
+    its entries, which divides every entry exactly and keeps them small."""
     return _rank(rows, _content_free)
 
 
@@ -312,7 +300,7 @@ def _mod(p: int):
     return mod_p
 
 
-def _rank_modp(rows: list[list[int]], p: int) -> int:
+def _rank_modp(rows: list[list[int]], p: int) -> list[int]:
     mod_p = _mod(p)
     return _rank([mod_p(r) for r in rows], mod_p)
 
@@ -357,7 +345,7 @@ def _left_kernel(rows: list[list], p: int) -> tuple[int, list[list[int]]]:
     else:
         reduce = _content_free
         aug = _scale_rows_to_int(aug)
-    rank = _rank(aug, reduce, ncols)
+    rank = len(_rank(aug, reduce, ncols))
     return rank, [r[ncols:] for r in aug[rank:]]
 
 
@@ -372,22 +360,35 @@ class FLinearSystem:
     to fraction-free elimination as it is, and any other has every row
     scaled to ints first.  Stated dimensions are F-dimensions; for the
     finite model they equal prime-field dimensions divided by
-    subfield_degree.
+    subfield_degree.  ``_basis`` keeps basis_rows once made; it takes no
+    part in ==, hash or dataclasses.replace.
     """
 
     rows: tuple
     char: int  # 0 for Q, p for the finite model
     subfield_degree: int = 1
+    _basis: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
-    def _prime_rank(self) -> int:
-        # rank is invariant under transposing and under dropping zero rows,
-        # such as the codomain coordinates that no image reaches
-        rows = [list(c) for c in zip(*self.rows) if any(c)]
-        if not rows:
-            return 0
-        if self.char == 0:
-            return _rank_int(_scale_rows_to_int(rows))
-        return _rank_modp(rows, self.char)
+    def basis_rows(self) -> tuple[int, ...]:
+        """Indices of the greedy prime-field basis among ``rows``: each
+        row outside the span of the rows before it.
+
+        They are the pivot columns of the transpose, so there are as many
+        as the prime-field rank.  Dropping the transpose's all-zero rows,
+        such as the codomain coordinates that no image reaches, changes
+        neither.  One elimination per system: rank_F reads them too.
+        """
+        if self._basis is None:
+            rows = [list(c) for c in zip(*self.rows) if any(c)]
+            if not rows:
+                pivots = ()
+            elif self.char == 0:
+                pivots = _rank_int(_scale_rows_to_int(rows))
+            else:
+                pivots = _rank_modp(rows, self.char)
+            object.__setattr__(self, "_basis", tuple(pivots))
+        return self._basis
 
     def _to_F(self, dim: int) -> int:
         """A prime-field dimension as an F-dimension."""
@@ -397,7 +398,7 @@ class FLinearSystem:
         return dim // e
 
     def rank_F(self) -> int:
-        return self._to_F(self._prime_rank())
+        return self._to_F(len(self.basis_rows()))
 
     def rank_and_kernel(self) -> tuple[int, list[tuple]]:
         """rank_F and a prime-field basis of the kernel, from one elimination.
@@ -436,7 +437,7 @@ def bracket_system(y: TwistedEndo, domain_positions=None,
     model over F_q), and every row copies those that land in the codomain.
     The one entry that can receive both terms, (a, b) when Y[b][b] and
     Y[a][a] are nonzero, is summed in E first.  The rows equal those of
-    the generic flattener over twisted_bracket (tested).
+    a generic flattener over the products Z*Y - Y*sigma(Z) (tested).
     """
     model, n = y.model, y.n
     if domain_positions is None or codomain_positions is None:

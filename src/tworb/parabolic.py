@@ -22,6 +22,14 @@ lowers the degree, and its degree-0 part is L_0 = [., X] on m.  Hence
 and rank L = dim_F [m, X] + dim_F s_N holds iff the second map is onto
 n.  L_0 depends on X only, so it is eliminated once per case, for its
 rank and a kernel basis; each sample ranks only the second map.
+
+The second map's rows are those of n and the kernel combinations of the
+rows of m.  Once a sample certifies, the rows that carried its rank (the
+greedy basis, as many as dim n) are kept, and each later sample of the
+case ranks those rows first.  They are a subset of its system, whose rank
+cannot exceed dim n, so full rank on them certifies the sample exactly;
+only a sample they fail to certify is ranked on every row, which gives
+its exact rank, and its basis is kept if it certifies.
 """
 
 from __future__ import annotations
@@ -193,9 +201,10 @@ def _combine(vec, rows) -> list:
     return acc
 
 
-def _sample_rank(x: TwistedEndo, levi: _LeviBlock,
-                 y: TwistedEndo) -> tuple[TwistedEndo, int]:
-    """The sample W = X + Y and dim_F [p, W], for X in m and Y in s_N.
+def _sample_rank(x: TwistedEndo, levi: _LeviBlock, y: TwistedEndo,
+                 basis=None) -> tuple[TwistedEndo, int, tuple | None]:
+    """The sample W = X + Y, dim_F [p, W], and the rows that certify,
+    for X in m and Y in s_N.
 
     X is zero on n (_levi_block checked it lies in m) and Y is zero off
     n, so W is X with Y's entries written over its n positions, with no
@@ -207,6 +216,15 @@ def _sample_rank(x: TwistedEndo, levi: _LeviBlock,
     rows of n go first, so the elimination pivots on them before the
     denser kernel combinations: for (2, 2, 1) with Levi types (1, 1),
     (2), (1) that takes 13 row updates instead of 56.
+
+    ``basis`` indexes rows of the second map that certified an earlier
+    sample, in its row order: n rows, then one per kernel vector.  Those
+    rows are combined and ranked first.  They are some of the rows of
+    W's second map, whose rank is at most the prime dimension of n, so
+    if theirs reaches it, W is certified exactly.  Otherwise, or with no
+    basis, every row is ranked, for the exact rank.  The basis returned
+    is the one that certified W (``basis`` itself, or the greedy basis
+    of every row), or ``basis`` as given when W is not certified.
     """
     model, n = x.model, x.n
     n_pos = levi.n_positions
@@ -217,9 +235,20 @@ def _sample_rank(x: TwistedEndo, levi: _LeviBlock,
     rows = bracket_system(w, levi.domain, n_pos).rows
     split = len(n_pos) * model.prime_dim_per_e_dim
     levi_rows = rows[split:]
-    reduced = rows[:split] + tuple(_combine(v, levi_rows) for v in levi.kernel)
-    return w, levi.rank_F + FLinearSystem(
-        reduced, model.char, model.subfield_degree).rank_F()
+
+    def system(kept, subfield_degree):
+        return FLinearSystem(tuple(
+            rows[i] if i < split else _combine(levi.kernel[i - split],
+                                               levi_rows)
+            for i in kept), model.char, subfield_degree)
+
+    # the rows of a basis need not span an F-subspace, so they are ranked
+    # over the prime field, where n has dimension split
+    if basis is not None and system(basis, 1).rank_F() == split:
+        return w, levi.expected, basis
+    full = system(range(split + len(levi.kernel)), model.subfield_degree)
+    rank = levi.rank_F + full.rank_F()
+    return w, rank, full.basis_rows() if rank == levi.expected else basis
 
 
 def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
@@ -252,10 +281,14 @@ def sample_s_n(shape: ParabolicShape, model: QuadraticExtensionModel,
 def _ranked_samples(shape: ParabolicShape, x: TwistedEndo,
                     levi: _LeviBlock, seed: int, trials: int):
     """Yield (W, dim_F [p, W]) for ``trials`` samples W = X + Y, each Y
-    drawn by sample_s_n from one random.Random(seed)."""
+    drawn by sample_s_n from one random.Random(seed), each ranked first
+    on the rows that certified the last certified sample."""
     rng = random.Random(seed)
+    basis = None
     for _ in range(trials):
-        yield _sample_rank(x, levi, sample_s_n(shape, x.model, rng))
+        w, rank, basis = _sample_rank(
+            x, levi, sample_s_n(shape, x.model, rng), basis)
+        yield w, rank
 
 
 def blockwise_representative(shape: ParabolicShape, m_types,

@@ -10,21 +10,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (alternating_product, flatten_map, from_prime_rows,
-                     mat_mul_naive)
+from oracles import (SingularMatrix, alternating_product, flatten_map,
+                     from_prime_rows, mat_inv, mat_mul_naive, sigma_conjugate,
+                     twisted_bracket)
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
-from tworb.linalg import (NotNilpotent, SingularMatrix, TwistedEndo, _rank_int,
-                          bracket_system, is_nilpotent, mat_eq,
-                          mat_from_rows, mat_identity, mat_inv, mat_mul,
-                          mat_rank, mat_sigma, reduce_row, row_echelon,
-                          sigma_conjugate, twisted_bracket, twisted_power)
+from tworb.linalg import (NotNilpotent, TwistedEndo, _rank_int, bracket_system,
+                          is_nilpotent, mat_eq, mat_from_rows, mat_identity,
+                          mat_mul, mat_rank, mat_sigma, reduce_row,
+                          row_echelon, twisted_power)
 from tworb.orbits import (JordanType, enumerate_orbits, jordan_type_of,
                           standard_representative)
 from tworb.parabolic import standard_parabolic
 
 RAT = make_extension({"kind": "rational", "tau": 2})
+RAT3 = make_extension({"kind": "rational", "tau": 3})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
 F16 = make_extension({"kind": "finite", "p": 2, "e": 2})
@@ -267,13 +268,55 @@ def test_cached_powers_leave_equality_hash_and_replace_alone(products):
     y = standard_representative(JordanType((3, 1)), RAT)
     fresh = TwistedEndo(RAT, y.n, y.mat)
     twisted_power(y, 4)
-    assert len(products) == 3
+    assert len(products) == 3 and y._sigma_mat == mat_sigma(RAT, y.mat)
     assert y == fresh and hash(y) == hash(fresh) and repr(y) == repr(fresh)
-    # a copy, equal or not, starts with no powers of its own
+    # a copy, equal or not, starts with no powers and no sigma(Y) of its own
     products.clear()
-    twisted_power(dataclasses.replace(y), 2)
+    copy = dataclasses.replace(y)
+    assert copy._powers == () and copy._sigma_mat is None
+    twisted_power(copy, 2)
     twisted_power(fresh, 2)
     assert len(products) == 4
+    other = dataclasses.replace(y, n=2, mat=endo([[1, RAT.gen], [1, 0]]).mat)
+    assert other._sigma_mat is None
+    assert twisted_power(other, 3) == alternating_product(other, 3)
+
+
+@pytest.mark.parametrize("model", [RAT, RAT3, F4, F9, F16],
+                         ids=["Q(sqrt2)", "Q(sqrt3)", "F4", "F9", "F16"])
+def test_right_multiplied_powers_equal_the_alternating_product(model):
+    # P_(k+1) = P_k sigma^k(Y) against Y sigma(Y) Y ... multiplied out
+    # afresh, for every k <= n + 1, on maps that vanish and maps that don't
+    rng = random.Random(61)
+    not_nilpotent = 0
+    for n in range(1, 6):
+        for upper in (False, True) * 3:
+            y = TwistedEndo(model, n, tuple(
+                tuple(_random_entry(model, rng) if j > i or not upper
+                      else model.zero for j in range(n)) for i in range(n)))
+            for k in range(n + 2):
+                assert twisted_power(y, k) == alternating_product(y, k), k
+            not_nilpotent += not is_nilpotent(y)
+    assert not_nilpotent > 0
+
+
+def test_powers_asked_up_then_down_reuse_the_memo(products, monkeypatch):
+    import tworb.linalg as linalg
+
+    sigmas = []
+    real = linalg.mat_sigma
+    monkeypatch.setattr(linalg, "mat_sigma",
+                        lambda *args: sigmas.append(1) or real(*args))
+    y = endo([[RAT.gen, 1, 0], [0, 1, 2], [3, 0, 1]])
+    assert not is_nilpotent(y)
+    assert len(products) == 3 and len(sigmas) == 2  # sigma(I), sigma(Y)
+    for k in range(6):
+        assert twisted_power(y, k) == alternating_product(y, k)
+    # P_1 .. P_5, and sigma(Y) made once for every odd step
+    assert len(products) == 5 and len(sigmas) == 2
+    for k in range(5, -1, -1):
+        assert twisted_power(y, k) == alternating_product(y, k)
+    assert len(products) == 5 and len(sigmas) == 2
 
 
 def test_jordan_type_ranks_the_powers_is_nilpotent_made(products):
@@ -409,11 +452,13 @@ def test_mat_inv_round_trip():
     assert mat_eq(mat_mul(h, hinv), mat_identity(RAT, 2))
 
 
-def _rank_fraction_gauss(rows):
-    """Independent oracle: plain Gaussian elimination over Q."""
+def _pivots_fraction_gauss(rows):
+    """Independent oracle: the pivot columns of plain Gaussian elimination
+    over Q."""
     m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
             continue
@@ -423,8 +468,12 @@ def _rank_fraction_gauss(rows):
             if i != rank and m[i][col]:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def _rank_fraction_gauss(rows):
+    return len(_pivots_fraction_gauss(rows))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -437,7 +486,7 @@ def test_bareiss_rank_matches_fraction_gauss(seed):
         k = rng.randrange(1, nr)
         rows[k] = [2 * x for x in rows[0]]
     assert _rank_int([r[:] for r in rows]) == \
-        _rank_fraction_gauss(rows)
+        _pivots_fraction_gauss(rows)
 
 
 @st.composite
@@ -469,7 +518,7 @@ def int_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_bareiss_rank_matches_fraction_gauss_on_drawn_matrices(rows):
     assert _rank_int([r[:] for r in rows]) == \
-        _rank_fraction_gauss(rows)
+        _pivots_fraction_gauss(rows)
 
 
 def test_integral_fraction_rows_reach_bareiss_as_ints(monkeypatch):
@@ -778,7 +827,7 @@ def sparse_int_matrices(draw):
 @example([[0, 6, 0], [0, 4, 2], [0, 0, 0], [0, 2, 1]])
 @settings(max_examples=300, deadline=None)
 def test_rank_int_matches_fraction_gauss_on_sparse_matrices(rows):
-    assert _rank_int([r[:] for r in rows]) == _rank_fraction_gauss(rows)
+    assert _rank_int([r[:] for r in rows]) == _pivots_fraction_gauss(rows)
 
 
 def _rank_mod_p_gauss(rows, p):
@@ -856,6 +905,41 @@ def test_rank_F_matches_oracles(case):
     assert want % e == 0
     assert from_prime_rows(rows, char=char, subfield_degree=e).rank_F() == \
         want // e
+
+
+@given(prime_systems())
+@example(([[0, 0, 5], [0, 0, 0], [1, 0, 0], [2, 0, 10]], 0, 1))
+@example(([[0, 3], [0, 0], [1, 0]], 3, 1))
+@settings(max_examples=300, deadline=None)
+def test_basis_rows_are_the_greedy_basis(case):
+    # each chosen row raises the rank of the rows up to it, no other does
+    rows, char, e = case
+
+    def oracle(m):
+        return (_rank_fraction_gauss(m) if char == 0
+                else _rank_mod_p_gauss(m, char))
+
+    want = [i for i in range(len(rows))
+            if oracle(rows[:i + 1]) > oracle(rows[:i])]
+    assert from_prime_rows(
+        rows, char=char, subfield_degree=e).basis_rows() == tuple(want)
+
+
+def test_kept_basis_leaves_equality_hash_and_replace_alone(monkeypatch):
+    import tworb.linalg as linalg
+
+    eliminations = []
+    real = linalg._rank_int
+    monkeypatch.setattr(linalg, "_rank_int",
+                        lambda rows: eliminations.append(1) or real(rows))
+    system = from_prime_rows([[1, 2], [2, 4], [0, 1]], char=0)
+    fresh = from_prime_rows([[1, 2], [2, 4], [0, 1]], char=0)
+    assert system.rank_F() == 2 and system.basis_rows() == (0, 2)
+    assert len(eliminations) == 1  # rank_F and basis_rows share one
+    assert system == fresh and hash(system) == hash(fresh)
+    assert repr(system) == repr(fresh)
+    assert dataclasses.replace(system)._basis is None
+    assert dataclasses.replace(system, rows=((1, 2), (0, 0)))._basis is None
 
 
 @given(prime_systems())

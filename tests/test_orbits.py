@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from oracles import (SingularMatrix, sigma_conjugate, split_parts,
+                     split_type_of)
 
 from tworb.fields import make_extension
-from tworb.linalg import NotNilpotent, SingularMatrix, TwistedEndo, \
-    sigma_conjugate
+from tworb.linalg import NotNilpotent, TwistedEndo, mat_rank
 from tworb.orbits import (BudgetExceeded, JordanType, centralizer_dim_oracle,
                           check_dimHY, enumerate_orbits, gl_order,
                           jordan_type_of, orbit_census, orbit_dimension,
@@ -109,6 +110,32 @@ def test_type_invariant_under_sigma_conjugation():
                 except SingularMatrix:
                     continue
                 assert jordan_type_of(conj) == t
+                done += 1
+
+
+@pytest.mark.parametrize("model", [F4, F9, RAT],
+                         ids=["F4", "F9", "Q(sqrt2)"])
+def test_jordan_type_agrees_with_the_split_type_oracle(model):
+    # the oracle never forms a twisted power: it ranks the ordinary powers
+    # of N = Y sigma(Y), and counts parts by the rank of Y itself
+    rng = random.Random(47)
+    for n in range(1, 6):
+        for t in enumerate_orbits(n):
+            rep = standard_representative(t, model)
+            done = 0
+            while done < 3:
+                h = tuple(tuple(
+                    model.el(rng.randint(-5, 5), rng.randint(-5, 5))
+                    if model.kind == "rational" else model.random_element(rng)
+                    for _ in range(n)) for _ in range(n))
+                try:
+                    conj = sigma_conjugate(h, rep)
+                except SingularMatrix:
+                    continue
+                got = jordan_type_of(conj)
+                assert got == t
+                assert split_type_of(conj) == split_parts(got)
+                assert n - mat_rank(conj.mat) == len(got.parts)
                 done += 1
 
 

@@ -250,7 +250,9 @@ def test_split_rank_equals_the_full_bracket_rank(case):
 
     shape, x, y = case
     levi = parabolic._levi_block(shape, x)
-    w, rank = parabolic._sample_rank(x, levi, y)
+    w, rank, basis = parabolic._sample_rank(x, levi, y)
+    # with no basis given, one comes back exactly when W is certified
+    assert (basis is None) == (rank != levi.expected)
     # W is X with Y written over n, which equals the entrywise sum
     assert w.mat == tuple(tuple(x.mat[i][j] + y.mat[i][j]
                                 for j in range(x.n)) for i in range(x.n))
@@ -261,6 +263,51 @@ def test_split_rank_equals_the_full_bracket_rank(case):
     if shape.n_mask and not any(map(any, y.mat)):
         # Y = 0 leaves the second map [., X] on n, which has a kernel
         assert rank < levi.expected
+
+
+@given(certificate_cases(), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_a_learned_basis_never_changes_the_rank(case, other_seed):
+    # bases learned on this sample and on another, each also less one row:
+    # full rank on the rows of a basis certifies, and anything short of it
+    # falls back to the exact rank of every row
+    import tworb.parabolic as parabolic
+
+    shape, x, y = case
+    levi = parabolic._levi_block(shape, x)
+    w, rank, learned = parabolic._sample_rank(x, levi, y)
+    other = sample_s_n(shape, x.model, random.Random(other_seed))
+    from_other = parabolic._sample_rank(x, levi, other)[2]
+    dim_n = len(levi.n_positions) * x.model.prime_dim_per_e_dim
+    bases = [b for b in (learned, from_other) if b is not None]
+    assert all(len(b) == dim_n for b in bases)
+    bases += [b[:-1] for b in bases if b]
+    for basis in bases:
+        got_w, got_rank, kept = parabolic._sample_rank(x, levi, y, basis)
+        assert got_w == w and got_rank == rank
+        if rank == levi.expected:
+            assert len(kept) == dim_n
+        else:
+            assert kept == basis
+
+
+def test_later_trials_start_from_the_rows_that_certified(monkeypatch):
+    import tworb.parabolic as parabolic
+
+    given_bases = []
+    real = parabolic._sample_rank
+
+    def spy(x, levi, y, basis=None):
+        given_bases.append(basis)
+        return real(x, levi, y, basis)
+
+    monkeypatch.setattr(parabolic, "_sample_rank", spy)
+    report = verify_porb(standard_parabolic((2, 1)), zero_types((2, 1)), RAT,
+                         trials=4, seed=3)
+    assert report.certified_trials == 4
+    first, *later = given_bases
+    assert first is None and later[0] is not None
+    assert all(b == later[0] for b in later)
 
 
 # -- induction ----------------------------------------------------------------
@@ -392,8 +439,8 @@ def test_only_a_failing_porb_case_lists_its_rejected_trials(monkeypatch):
     real, calls = parabolic._sample_rank, itertools.count()
 
     def short_on_odd_trials(*args):
-        w, rank = real(*args)
-        return w, rank - next(calls) % 2
+        w, rank, basis = real(*args)
+        return w, rank - next(calls) % 2, basis
 
     monkeypatch.setattr(parabolic, "_sample_rank", short_on_odd_trials)
     passing = verify_porb(shape, types, RAT, trials=6, seed=3)

@@ -4,8 +4,9 @@ Each case runs ``cli.cmd_verify`` or ``cli.cmd_induce`` at a fixed
 configuration and compares the SHA-256 of the report's canonical JSON
 (the bytes ``tworb --format json`` prints) with ``report_digests.json``.
 The configurations are the acceptance ones of
-``scripts/run_verify_all.py``, plus ``census`` at q=3, ``porb`` over F_3,
-``uX`` and ``centralizer`` over F_16 (e = 2), and three ``induce`` runs:
+``scripts/run_verify_all.py``, plus ``census`` at q=3, ``porb`` over F_2,
+F_3 and F_16 and over Q(sqrt 3), ``uX`` and ``centralizer`` over F_16
+(e = 2), and three ``induce`` runs:
 over Q(sqrt 2), over F_3, and one over F_2 that ends in a
 GenericityFailure.  A change that alters any report, even a field
 nobody checks, fails here; re-record only when a report is meant to
@@ -45,8 +46,16 @@ CASES = {
     **{suite: partial(cmd_verify, suite, cfg)
        for suite, cfg in _acceptance_configs().items()},
     "census q=3": partial(cmd_verify, "census", RunConfig(n=2, q=3)),
+    # many rejected trials, so later trials often fall back from the rows
+    # that certified an earlier one to the full system
+    "porb F_2": partial(cmd_verify, "porb", RunConfig(
+        field=F_2, q=2, n_max=4, trials=20, seed=1)),
     "porb F_3": partial(cmd_verify, "porb", RunConfig(
         field=F_3, n_max=4, trials=20, seed=7)),
+    "porb F_16": partial(cmd_verify, "porb", RunConfig(
+        field=F_16, q=4, n_max=4, trials=20, seed=1)),
+    "porb tau=3": partial(cmd_verify, "porb", RunConfig(
+        field={"kind": "rational", "tau": 3}, n_max=5, trials=20, seed=1)),
     "uX F_16": partial(cmd_verify, "uX", RunConfig(field=F_16, q=4, n_max=5)),
     "centralizer F_16": partial(cmd_verify, "centralizer", RunConfig(
         field=F_16, q=4, n_max=5)),
