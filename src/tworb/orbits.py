@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .fields import QuadraticExtensionModel
@@ -45,10 +46,14 @@ class JordanType:
 
     def d(self, j: int) -> int:
         """Number of blocks of size j."""
-        return sum(1 for p in self.parts if p == j)
+        return self.parts.count(j)
 
     def multiplicities(self) -> dict[int, int]:
-        return {j: self.d(j) for j in range(1, self.r + 1)}
+        """{j: d_j} for j = 1..r, zeros included."""
+        d = dict.fromkeys(range(1, self.r + 1), 0)
+        for p in self.parts:
+            d[p] += 1
+        return d
 
     def dual(self) -> "JordanType":
         if not self.parts:
@@ -163,13 +168,19 @@ class OrbitInvariants:
         }
 
 
+@lru_cache(maxsize=None)
 def orbit_dimension(t: JordanType) -> OrbitInvariants:
-    d = t.multiplicities()
-    r = t.r
-    cent = 2 * sum(d[j] * d[jp] * min(j, jp)
-                   for j in range(1, r + 1) for jp in range(1, r + 1))
+    """The F-dimension invariants of the orbit of type t.
+
+    Computed once per type: the result is frozen and the formula calls no
+    other layer function, so a test that rebinds a function elsewhere
+    never meets a stale cached value.
+    """
+    d = {j: m for j, m in t.multiplicities().items() if m}
+    cent = 2 * sum(m * mp * min(j, jp)
+                   for j, m in d.items() for jp, mp in d.items())
     dim_orbit = 2 * t.n * t.n - cent
-    c = sum(j * (j - 1) * d[j] for j in range(1, r + 1))
+    c = sum(j * (j - 1) * m for j, m in d.items())
     springer = 2 * sum(comb(k, 2) for k in t.dual().parts)
     return OrbitInvariants(dim_orbit, dim_orbit // 2, cent, c, springer)
 

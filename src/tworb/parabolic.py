@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from .fields import QuadraticExtensionModel
@@ -121,7 +122,12 @@ class AdaptedParabolic(ParabolicShape):
         return 2 * len(self.u_mask)
 
 
+@lru_cache(maxsize=None)
 def adapted_parabolic(t: JordanType) -> AdaptedParabolic:
+    """The adapted parabolic of t, built once per type: the result is a
+    frozen dataclass of tuples and frozensets, and building it calls no
+    other layer function, so a rebound function never meets a stale
+    cached value."""
     d = t.multiplicities()
     groups = []
     offset = 0

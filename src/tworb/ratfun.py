@@ -183,10 +183,13 @@ class FactoredRationalFunction:
             return NotImplemented
         factors = dict(self.factors)
         for key, m in other.factors.items():
-            factors[key] = factors.get(key, 0) + sign * m
-        return FactoredRationalFunction(self.q_exp + sign * other.q_exp,
-                                        self.t_exp + sign * other.t_exp,
-                                        factors)
+            m = factors.get(key, 0) + sign * m
+            if m:
+                factors[key] = m
+            else:
+                del factors[key]
+        return _reduced(self.q_exp + sign * other.q_exp,
+                        self.t_exp + sign * other.t_exp, factors)
 
     def __mul__(self, other):
         return self._combine(other, 1)
@@ -212,7 +215,7 @@ class FactoredRationalFunction:
         """Replace T by q^(-q_shift) * T^t_power; injective on factors."""
         if q_shift < 0 or t_power < 1:
             raise ValueError("need q_shift >= 0 and t_power >= 1")
-        return FactoredRationalFunction(
+        return _reduced(
             self.q_exp - q_shift * self.t_exp, t_power * self.t_exp,
             {(a + q_shift * b, t_power * b): m
              for (a, b), m in self.factors.items()})
@@ -250,3 +253,15 @@ class FactoredRationalFunction:
         num = _poly_mul(num, {(max(q_exp, 0), max(self.t_exp, 0)): 1})
         den = _poly_mul(den, {(max(-q_exp, 0), max(-self.t_exp, 0)): 1})
         return BivariateRationalFunction(num, den)
+
+
+def _reduced(q_exp: int, t_exp: int,
+             factors: dict) -> FactoredRationalFunction:
+    """A FactoredRationalFunction from a factor dict that is already reduced
+    (a >= 1, b >= 0, no zero exponent), skipping the constructor's checks:
+    products, quotients and T-substitutions of reduced forms build these."""
+    out = object.__new__(FactoredRationalFunction)
+    object.__setattr__(out, "q_exp", q_exp)
+    object.__setattr__(out, "t_exp", t_exp)
+    object.__setattr__(out, "factors", factors)
+    return out

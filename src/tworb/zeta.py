@@ -6,6 +6,12 @@ monomial model multiplies matrix Igusa factors with T shifted to
 q^(-e_ij) T^(j-i); it models the unramified local factor up to the
 constant coming from the compact integration, and is used solely for
 exponent verification.  All dimension totals are F-dimensions.
+
+The per-type inputs ``orbit_dimension`` and ``adapted_parabolic`` are
+cached where they are defined.  ``exponent_table`` and the factors built
+from it are not: each call reads ``orbit_dimension`` through this module's
+binding, so a rebound ``zeta.orbit_dimension`` (as in the scaling check's
+failure test) reaches every table built after it.
 """
 
 from __future__ import annotations
@@ -127,11 +133,15 @@ def igusa_matrix_factor(d: int) -> FactoredRationalFunction:
     return FactoredRationalFunction(factors=factors)
 
 
+def _entry_factor(en: ExponentEntry) -> FactoredRationalFunction:
+    """The matrix Igusa factor of the entry's block, with T shifted per the
+    entry's exponent."""
+    return igusa_matrix_factor(en.d_j).substitute_T(en.e, en.s_coeff)
+
+
 def local_zeta_factors(t: JordanType) -> list[FactoredRationalFunction]:
-    """One factor per entry of exponent_table(t), in table order, with T
-    shifted per the entry's exponent."""
-    return [igusa_matrix_factor(en.d_j).substitute_T(en.e, en.s_coeff)
-            for en in exponent_table(t).entries]
+    """One factor per entry of exponent_table(t), in table order."""
+    return [_entry_factor(en) for en in exponent_table(t).entries]
 
 
 def local_zeta_model(t: JordanType) -> BivariateRationalFunction:
@@ -157,7 +167,8 @@ def scaling_exponent_check(t: JordanType, k: int) -> bool:
     original = FactoredRationalFunction()
     transformed = FactoredRationalFunction(-k * dim_F_uX(t), 0)
     table = exponent_table(t)
-    for en, f in zip(table.entries, local_zeta_factors(t)):
+    for en in table.entries:
+        f = _entry_factor(en)
         original = original * f
         transformed = transformed * FactoredRationalFunction(
             -k * 2 * en.d_j * en.e, k * 2 * en.d_j * en.s_coeff) * f

@@ -1,5 +1,6 @@
 """Orbit catalog: classification, representatives, dimensions, census."""
 
+import dataclasses
 import random
 
 import pytest
@@ -31,6 +32,19 @@ def test_jordan_type_validation():
     assert t.n == 4 and t.r == 3 and t.d(1) == 1 and t.d(2) == 0
     assert t.dual() == T(2, 1, 1)
     assert JordanType.from_json(t.to_json()) == t
+
+
+def test_multiplicities_match_counting():
+    # every partition with n <= 10, the empty type (n = 0) included
+    for n in range(0, 11):
+        for t in enumerate_orbits(n):
+            def count(j):
+                return sum(1 for p in t.parts if p == j)
+
+            assert list(t.multiplicities().items()) == \
+                [(j, count(j)) for j in range(1, t.r + 1)]
+            assert [t.d(j) for j in range(n + 2)] == \
+                [count(j) for j in range(n + 2)]
 
 
 def test_enumerate_orbits_counts_and_order():
@@ -165,6 +179,18 @@ def test_orbit_dimension_is_even_and_consistent():
             assert inv.dim_orbit_F % 2 == 0
             assert inv.dim_orbit_F == 2 * n * n - inv.centralizer_dim_F
             assert inv.c_exponent >= 0
+
+
+def test_cached_orbit_dimension_matches_fresh_computation():
+    for n in range(0, 11):
+        for t in enumerate_orbits(n):
+            assert orbit_dimension(t) == orbit_dimension.__wrapped__(t), t
+    # an equal type built separately hits the same frozen entry
+    inv = orbit_dimension(JordanType((3, 1)))
+    assert orbit_dimension(T(3, 1)) is inv
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inv.half_dim = 0
+    assert orbit_dimension(T(3, 1)).half_dim == 10
 
 
 def test_check_dimhy_examples_and_sweep():

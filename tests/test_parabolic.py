@@ -1,5 +1,6 @@
 """Parabolic masks, the rank certificate, induction, and the flag oracle."""
 
+import dataclasses
 import itertools
 import random
 
@@ -110,6 +111,17 @@ def test_adapted_mask_sizes_closed_form():
             levi = sum(j * t.d(j) ** 2 for j in range(1, t.r + 1))
             assert len(ad.m_mask) == levi, t
             assert len(ad.n_mask) == (n * n - levi) // 2, t
+
+
+def test_cached_adapted_parabolic_matches_fresh_computation():
+    for n in range(0, 11):
+        for t in enumerate_orbits(n):
+            assert adapted_parabolic(t) == adapted_parabolic.__wrapped__(t), t
+    ad = adapted_parabolic(T(3, 1))
+    assert adapted_parabolic(JordanType((3, 1))) is ad
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ad.u_mask = frozenset()
+    assert adapted_parabolic(T(3, 1)).dim_F_uX == 4
 
 
 def test_adapted_u_mask_inside_n_mask():

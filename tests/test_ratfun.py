@@ -160,10 +160,19 @@ factored_pairs = st.one_of(
         lambda p: (p[0], p[0] * p[1] / p[1])))
 
 
+def _assert_reduced(form):
+    """Keys with a >= 1 and b >= 0, no zero exponent, and the same form as
+    the one the checked constructor builds from its fields."""
+    assert all(a >= 1 and b >= 0 and m for (a, b), m in form.factors.items())
+    assert form == FRF(form.q_exp, form.t_exp, dict(form.factors))
+
+
 @given(factored_pairs, st.integers(0, 2), st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_factored_form_agrees_with_canonical_form(pair, q_shift, t_power):
-    """Oracle: the same operations on the forms rendered through sympy."""
+    """Oracle: the same operations on the forms rendered through sympy.
+    Products, quotients and substitutions skip the constructor's checks, so
+    each result is also checked against the constructor."""
     a, b = pair
     ra, rb = render(a), render(b)
     assert (a == b) == (ra == rb)
@@ -171,6 +180,9 @@ def test_factored_form_agrees_with_canonical_form(pair, q_shift, t_power):
     assert (a * b).to_ratfun().to_json() == (ra * rb).to_json()
     assert a.substitute_T(q_shift, t_power).to_ratfun().to_json() == \
         ra.substitute_T(q_shift, t_power).to_json()
+    for form in (a * b, a / b, b / a, a.substitute_T(q_shift, t_power)):
+        _assert_reduced(form)
+    assert (a * b) / b == a and (a / b) * b == a
 
 
 def test_cyclotomic_products():

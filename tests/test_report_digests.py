@@ -1,16 +1,16 @@
 """Golden digests: every suite report must stay byte-identical.
 
-Each case runs ``cli.cmd_verify`` or ``cli.cmd_induce`` at a fixed
-configuration and compares the SHA-256 of the report's canonical JSON
-(the bytes ``tworb --format json`` prints) with ``report_digests.json``.
-The configurations are the acceptance ones of
+Each case runs ``cli.cmd_verify``, ``cli.cmd_induce`` or ``cli.cmd_orbits``
+at a fixed configuration and compares the SHA-256 of the report's
+canonical JSON (the bytes ``tworb --format json`` prints) with
+``report_digests.json``.  The configurations are the acceptance ones of
 ``scripts/run_verify_all.py``, plus ``census`` at q=3, ``porb`` over F_2,
 F_3 and F_16 and over Q(sqrt 3), ``uX`` and ``centralizer`` over F_16
-(e = 2), and three ``induce`` runs:
-over Q(sqrt 2), over F_3, and one over F_2 that ends in a
-GenericityFailure.  A change that alters any report, even a field
-nobody checks, fails here; re-record only when a report is meant to
-change:
+(e = 2), three ``induce`` runs (over Q(sqrt 2), over F_3, and one over
+F_2 that ends in a GenericityFailure), the ``orbits`` catalog at n = 6
+and n = 8, and ``scaling`` at n <= 10.  A change that alters any report,
+even a field nobody checks, fails here; re-record only when a report is
+meant to change:
 
     PYTHONPATH=src python tests/test_report_digests.py \
         > tests/report_digests.json
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from tworb.cli import RunConfig, cmd_induce, cmd_verify
+from tworb.cli import RunConfig, cmd_induce, cmd_orbits, cmd_verify
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "report_digests.json"
@@ -65,6 +65,10 @@ CASES = {
     # a single trial that falls short: ends in a GenericityFailure report
     "induce 2,2 F_2 failure": partial(cmd_induce, "2,2", "1,1;2", RunConfig(
         field=F_2, q=2, seed=2, trials=1)),
+    # the orbit catalog and scaling beyond the acceptance n <= 6
+    "orbits n=6": partial(cmd_orbits, RunConfig(n=6)),
+    "orbits n=8": partial(cmd_orbits, RunConfig(n=8)),
+    "scaling n_max=10": partial(cmd_verify, "scaling", RunConfig(n_max=10)),
 }
 
 

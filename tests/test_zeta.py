@@ -270,6 +270,12 @@ def test_scaling_sweep_small():
 
 @pytest.mark.parametrize("shift", ["half_dim", "c_exponent", "dim_F_uX"])
 def test_scaling_check_can_fail(monkeypatch, shift):
+    types = (T(1, 1), T(2), T(2, 1), T(3, 1), T(2, 2))
+    # the unpatched check passes on the same objects first, so every cache
+    # on the path is warm: a cached value must not outlive the patch
+    for t in types:
+        for k in (1, 2, 3):
+            assert scaling_exponent_check(t, k), (t, k)
     if shift == "dim_F_uX":
         real_dim = zeta.dim_F_uX
         monkeypatch.setattr(zeta, "dim_F_uX", lambda t: real_dim(t) + 1)
@@ -281,9 +287,25 @@ def test_scaling_check_can_fail(monkeypatch, shift):
             return dataclasses.replace(inv, **{shift: getattr(inv, shift) + 1})
 
         monkeypatch.setattr(zeta, "orbit_dimension", shifted)
-    for t in (T(1, 1), T(2), T(2, 1), T(3, 1), T(2, 2)):
+    for t in types:
         for k in (1, 2, 3):
             assert not scaling_exponent_check(t, k), (shift, t, k)
+
+
+def test_scaling_check_builds_one_exponent_table(monkeypatch):
+    calls = []
+    real_table = zeta.exponent_table
+
+    def counted(t):
+        calls.append(t)
+        return real_table(t)
+
+    monkeypatch.setattr(zeta, "exponent_table", counted)
+    for t in (T(1), T(2), T(3, 1), T(2, 2, 1), T(4, 3, 3, 1)):
+        for k in (1, 2, 3):
+            calls.clear()
+            assert scaling_exponent_check(t, k)
+            assert calls == [t], (t, k)
 
 
 def test_scaling_rejects_bad_k():
