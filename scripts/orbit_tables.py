@@ -19,13 +19,13 @@ def main() -> int:
             table = exponent_table(t)
             weights = " ".join(
                 f"|A_{en.i}{en.j}|^({en.e}+{en.s_coeff}s)"
-                for en in table.entries) or "-"
+                for en in table) or "-"
             print(f"  {str(t):14s} dimO={inv.dim_orbit_F:3d} "
                   f"c={inv.c_exponent:3d} cent={inv.centralizer_dim_F:3d} "
                   f"springer={inv.springer_dim_F:3d} uX={dim_F_uX(t):3d}  "
                   f"{weights}")
-            if n <= 4 and table.entries:
-                print(f"  {'':14s} local factor: {local_zeta_model(t)}")
+            if n <= 4 and table:
+                print(f"  {'':14s} local factor: {local_zeta_model(table)}")
     return 0
 
 

@@ -9,7 +9,7 @@ Z Y - Y sigma(Z).  All reported dimensions are over the base field F.
 
 from .fields import (ExtElement, FieldModelError, NotPrime,
                      QuadraticExtensionModel, RadicandIsSquare,
-                     make_extension, norm, sigma)
+                     make_extension)
 from .linalg import (FLinearSystem, NotNilpotent, TwistedEndo, is_nilpotent,
                      twisted_power)
 from .orbits import (BudgetExceeded, JordanType, OrbitInvariants,
@@ -18,12 +18,11 @@ from .orbits import (BudgetExceeded, JordanType, OrbitInvariants,
                      standard_representative)
 from .parabolic import (AdaptedParabolic, BadComposition, GenericityFailure,
                         ParabolicShape, ShapeMismatch, SupportViolation,
-                        adapted_parabolic, flag_fixed_count, induce_orbit,
-                        n_x_dim_oracle, rank_criterion, standard_parabolic,
-                        verify_porb)
+                        adapted_parabolic, flag_fixed_count,
+                        n_x_dim_oracle, standard_parabolic, verify_porb)
 from .ratfun import (BivariateRationalFunction, FactoredRationalFunction,
                      NonUnitDenominator)
-from .zeta import (ExponentTable, delta_matrix, exponent_table,
+from .zeta import (delta_matrix, exponent_table,
                    homogeneity_identity_check, igusa_matrix_factor,
                    local_zeta_model, scaling_exponent_check)
 

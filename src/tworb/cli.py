@@ -242,12 +242,12 @@ def cmd_orbits(cfg: RunConfig) -> tuple[int, dict]:
     for t in enumerate_orbits(n):
         inv = orbit_dimension(t)
         table = exponent_table(t)
-        factor = local_zeta_model(t)
+        factor = local_zeta_model(table)
         series = factor.series_expand(cfg.series_order)
         rows.append({
             "type": t.to_json(),
             **inv.to_json(),
-            "table": [en.to_json() for en in table.entries],
+            "table": [en.to_json() for en in table],
             "local_factor": factor.to_json(),
             "series": [c.to_json() for c in series],
         })
@@ -381,10 +381,12 @@ def _config_from(args) -> RunConfig:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("TWORB_SEED", "0"))
-    if args.field == "rational":
-        fdesc = {"kind": "rational", "tau": args.tau}
-    else:
+    # census and dimHY count over F_q from --q, whatever --field says
+    if args.field == "finite" or getattr(args, "suite", None) in (
+            "census", "dimHY"):
         fdesc = _finite_field(args.q)
+    else:
+        fdesc = {"kind": "rational", "tau": args.tau}
     if args.trials < 1 or args.series_order < 0 or args.budget < 1:
         raise FieldModelError("budgets must be positive")
     make_extension(fdesc)  # validate early

@@ -16,7 +16,7 @@ model classes, each with its own payload arithmetic:
   the relative Frobenius x -> x^q, and the inverse is x^(q^2 - 2).
 
 Both subclass :class:`QuadraticExtensionModel`, which holds what they
-share.  A method only one model has (``el``, ``from_coeffs``, element
+share.  A method only one model has (``el`` and ``gen``, element
 enumeration) exists only on that class.  A model object also keeps what
 linalg would otherwise rebuild on every call: the identity matrices
 (``mat_identity``) and the prime basis with its -sigma images.
@@ -353,8 +353,8 @@ class QuadraticExtensionModel:
     :class:`RationalModel` or a :class:`FiniteModel`, whose constructors
     trust their arguments.  Each subclass owns its payload arithmetic
     (for the rational model all but the inverse sits on RationalElement),
-    ``sigma``, ``prime_basis`` and element JSON; models compare and hash
-    by ``_key``, which names the kind and its parameters.
+    ``sigma`` and ``prime_basis``; models compare and hash by ``_key``,
+    which names the kind and its parameters.
     """
 
     kind: str
@@ -387,13 +387,6 @@ class QuadraticExtensionModel:
     @property
     def one(self) -> ExtElement:
         return self.from_int(1)
-
-    def norm(self, x: ExtElement) -> ExtElement:
-        """x * sigma(x); always lands in the base field."""
-        return x * self.sigma(x)
-
-    def in_base_field(self, x: ExtElement) -> bool:
-        return self.sigma(x) == x
 
     def prime_coords(self, x: ExtElement):
         """Coordinates in prime_basis: (a, b) of ints/Fractions, or a
@@ -473,14 +466,6 @@ class RationalModel(QuadraticExtensionModel):
         """The basis (1, sqrt(tau)) of E over Q."""
         return [self.one, self.gen]
 
-    def element_to_json(self, x: ExtElement):
-        a, b = x.payload
-        return {"a": str(a) if a.denominator != 1 else a.numerator,
-                "b": str(b) if b.denominator != 1 else b.numerator}
-
-    def element_from_json(self, data) -> ExtElement:
-        return self.el(Fraction(str(data["a"])), Fraction(str(data["b"])))
-
 
 class FiniteModel(QuadraticExtensionModel):
     """E = F_{q^2} over F = F_q, q = p^e, as F_p[x]/(mu) for a fixed
@@ -518,17 +503,6 @@ class FiniteModel(QuadraticExtensionModel):
 
     def from_int(self, m: int) -> ExtElement:
         return ExtElement(self, self._pad([m % self.p]))
-
-    def from_coeffs(self, coeffs) -> ExtElement:
-        c = [ci % self.p for ci in coeffs]
-        if len(c) > self.degree:
-            raise FieldModelError("too many coefficients")
-        return ExtElement(self, self._pad(c))
-
-    @property
-    def gen(self) -> ExtElement:
-        """The class of x, a generator of E over F."""
-        return ExtElement(self, self._pad([0, 1]))
 
     # -- raw payload arithmetic -------------------------------------------
 
@@ -605,26 +579,12 @@ class FiniteModel(QuadraticExtensionModel):
             idx //= self.p
         return ExtElement(self, tuple(coeffs))
 
-    def element_index(self, x: ExtElement) -> int:
-        idx = 0
-        for c in reversed(x.payload):
-            idx = idx * self.p + c
-        return idx
-
     def elements(self):
         for i in range(self.element_count()):
             yield self.element_from_index(i)
 
     def random_element(self, rng) -> ExtElement:
         return self.element_from_index(rng.randrange(self.element_count()))
-
-    # -- JSON wire format: the element index ---------------------------------
-
-    def element_to_json(self, x: ExtElement):
-        return self.element_index(x)
-
-    def element_from_json(self, data) -> ExtElement:
-        return self.element_from_index(int(data))
 
 
 def make_extension(spec) -> QuadraticExtensionModel:
@@ -650,11 +610,3 @@ def make_extension(spec) -> QuadraticExtensionModel:
             raise FieldModelError(f"e={e} must be >= 1")
         return FiniteModel(p, e)
     raise FieldModelError(f"unknown kind {kind!r}")
-
-
-def sigma(x: ExtElement) -> ExtElement:
-    return x.model.sigma(x)
-
-
-def norm(x: ExtElement) -> ExtElement:
-    return x.model.norm(x)

@@ -192,10 +192,6 @@ class TwistedEndo:
             raise ValueError("matrix must be square")
         return cls(model, len(m), m)
 
-    def to_json(self):
-        m = self.model
-        return [[m.element_to_json(x) for x in row] for row in self.mat]
-
 
 def twisted_power(y: TwistedEndo, k: int) -> Matrix:
     """Matrix of the k-th power: the alternating product with k factors.

@@ -44,10 +44,6 @@ class JordanType:
         """Largest block size (0 for the empty type)."""
         return self.parts[0] if self.parts else 0
 
-    def d(self, j: int) -> int:
-        """Number of blocks of size j."""
-        return self.parts.count(j)
-
     def multiplicities(self) -> dict[int, int]:
         """{j: d_j} for j = 1..r, zeros included."""
         d = dict.fromkeys(range(1, self.r + 1), 0)
@@ -64,10 +60,6 @@ class JordanType:
 
     def to_json(self) -> list[int]:
         return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data) -> "JordanType":
-        return cls(tuple(int(x) for x in data))
 
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"

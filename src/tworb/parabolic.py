@@ -113,7 +113,6 @@ class AdaptedParabolic(ParabolicShape):
     i = i' + 1 and j < j'.
     """
 
-    jordan_type: JordanType
     groups: tuple  # (i, j, offset, size)
     u_mask: frozenset
 
@@ -143,8 +142,7 @@ def adapted_parabolic(t: JordanType) -> AdaptedParabolic:
         for ip, jp, toff, tsize in groups
         if i - 1 > ip or (i == ip + 1 and j < jp)
         for a in range(tsize) for b in range(ssize))
-    return AdaptedParabolic(comp, *_block_masks(comp), t, tuple(groups),
-                            u_mask)
+    return AdaptedParabolic(comp, *_block_masks(comp), tuple(groups), u_mask)
 
 
 def n_x_dim_oracle(t: JordanType, model: QuadraticExtensionModel) -> int:
@@ -156,14 +154,6 @@ def n_x_dim_oracle(t: JordanType, model: QuadraticExtensionModel) -> int:
 
 # ---------------------------------------------------------------------------
 # the rank certificate for induced orbits
-
-
-def _check_support(endo: TwistedEndo, mask: frozenset, what: str):
-    for a in range(endo.n):
-        for b in range(endo.n):
-            if endo.mat[a][b] and (a, b) not in mask:
-                raise SupportViolation(
-                    f"{what} has a nonzero entry at {(a, b)} outside its mask")
 
 
 class _LeviBlock(NamedTuple):
@@ -190,7 +180,10 @@ def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
     X is support-checked to lie in m, so [m, X] lies in m, and the system
     is flattened onto the m positions only, with the rank unchanged.
     """
-    _check_support(x, shape.m_mask, "X")
+    for a, b in itertools.product(range(x.n), repeat=2):
+        if x.mat[a][b] and (a, b) not in shape.m_mask:
+            raise SupportViolation(
+                f"X has a nonzero entry at {(a, b)} outside its mask")
     m = sorted(shape.m_mask)
     n_positions = sorted(shape.n_mask)
     rank, kernel = bracket_system(x, m, m).rank_and_kernel()
@@ -257,14 +250,6 @@ def _sample_rank(x: TwistedEndo, levi: _LeviBlock, y: TwistedEndo,
     return w, rank, full.basis_rows() if rank == levi.expected else basis
 
 
-def rank_criterion(shape: ParabolicShape, x: TwistedEndo,
-                   y: TwistedEndo) -> bool:
-    """Tangent-space equality [p, X+Y] = [m_P, X] + s_N, by exact ranks."""
-    levi = _levi_block(shape, x)
-    _check_support(y, shape.n_mask, "Y")
-    return _sample_rank(x, levi, y)[1] == levi.expected
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -319,8 +304,6 @@ def blockwise_representative(shape: ParabolicShape, m_types,
 
 @dataclass(frozen=True)
 class InductionReport:
-    composition: tuple[int, ...]
-    m_types: tuple[JordanType, ...]
     induced_type: JordanType
     trials_used: int
     rejected: int
@@ -329,29 +312,20 @@ class InductionReport:
 def induce_orbit_report(shape: ParabolicShape, m_types,
                         model: QuadraticExtensionModel, *, seed: int = 0,
                         max_trials: int = 40) -> InductionReport:
-    """Like :func:`induce_orbit` but keeps the trial statistics."""
-    m_types = tuple(m_types)
+    """Jordan type of the induced orbit, from a certified generic sample,
+    with the trial statistics."""
     x = blockwise_representative(shape, m_types, model)
     levi = _levi_block(shape, x)
     ranks = []
     for w, rank in _ranked_samples(shape, x, levi, seed, max_trials):
         if rank == levi.expected:
-            return InductionReport(shape.composition, m_types,
-                                   jordan_type_of(w), len(ranks) + 1,
+            return InductionReport(jordan_type_of(w), len(ranks) + 1,
                                    len(ranks))
         ranks.append(rank)
     raise GenericityFailure(
         f"no certified sample in {max_trials} trials for {shape.composition}:"
         f" expected rank {levi.expected} (dim_F [m, X] + dim_F s_N),"
         f" the trials got ranks {ranks}")
-
-
-def induce_orbit(shape: ParabolicShape, m_types,
-                 model: QuadraticExtensionModel, *, seed: int = 0,
-                 max_trials: int = 40) -> JordanType:
-    """Jordan type of the induced orbit, from a certified generic sample."""
-    return induce_orbit_report(shape, m_types, model, seed=seed,
-                               max_trials=max_trials).induced_type
 
 
 @dataclass

@@ -7,11 +7,11 @@ q^(-e_ij) T^(j-i); it models the unramified local factor up to the
 constant coming from the compact integration, and is used solely for
 exponent verification.  All dimension totals are F-dimensions.
 
-The per-type inputs ``orbit_dimension`` and ``adapted_parabolic`` are
-cached where they are defined.  ``exponent_table`` and the factors built
-from it are not: each call reads ``orbit_dimension`` through this module's
-binding, so a rebound ``zeta.orbit_dimension`` (as in the scaling check's
-failure test) reaches every table built after it.
+An exponent table is the tuple of its entries.  The checks compare its
+totals with dim O/2 and c, which they read from ``orbit_dimension`` (cached
+where it is defined) through this module's binding on every call, so a
+rebound ``zeta.orbit_dimension`` (as in the scaling check's failure test)
+reaches every check made after it.
 """
 
 from __future__ import annotations
@@ -38,15 +38,9 @@ class ExponentEntry:
                 "s_coeff": self.s_coeff}
 
 
-@dataclass(frozen=True)
-class ExponentTable:
-    jordan_type: JordanType
-    entries: tuple[ExponentEntry, ...]
-    half_dim: int
-    c: int
-
-
-def exponent_table(t: JordanType) -> ExponentTable:
+def exponent_table(t: JordanType) -> tuple[ExponentEntry, ...]:
+    """One entry per block pair (i, j), i < j with d_j >= 1, ordered by
+    (i, j)."""
     d = t.multiplicities()
     entries = []
     for j in range(2, t.r + 1):
@@ -56,8 +50,7 @@ def exponent_table(t: JordanType) -> ExponentTable:
             entries.append(ExponentEntry(
                 i, j, d[j], sum(d[lev] for lev in range(i, j + 1)), j - i))
     entries.sort(key=lambda en: (en.i, en.j))
-    inv = orbit_dimension(t)
-    return ExponentTable(t, tuple(entries), inv.half_dim, inv.c_exponent)
+    return tuple(entries)
 
 
 def dim_F_uX(t: JordanType) -> int:
@@ -71,9 +64,10 @@ def homogeneity_identity_check(t: JordanType) -> bool:
     2 * sum d_j (j - i) = c.
     """
     table = exponent_table(t)
-    lhs_const = 2 * sum(en.d_j * en.e for en in table.entries) + dim_F_uX(t)
-    lhs_s = 2 * sum(en.d_j * en.s_coeff for en in table.entries)
-    return lhs_const == table.half_dim and lhs_s == table.c
+    inv = orbit_dimension(t)
+    lhs_const = 2 * sum(en.d_j * en.e for en in table) + dim_F_uX(t)
+    lhs_s = 2 * sum(en.d_j * en.s_coeff for en in table)
+    return lhs_const == inv.half_dim and lhs_s == inv.c_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +133,12 @@ def _entry_factor(en: ExponentEntry) -> FactoredRationalFunction:
     return igusa_matrix_factor(en.d_j).substitute_T(en.e, en.s_coeff)
 
 
-def local_zeta_factors(t: JordanType) -> list[FactoredRationalFunction]:
-    """One factor per entry of exponent_table(t), in table order."""
-    return [_entry_factor(en) for en in exponent_table(t).entries]
-
-
-def local_zeta_model(t: JordanType) -> BivariateRationalFunction:
+def local_zeta_model(
+        table: tuple[ExponentEntry, ...]) -> BivariateRationalFunction:
+    """The product of the entry factors of an exponent table."""
     form = FactoredRationalFunction()
-    for f in local_zeta_factors(t):
-        form = form * f
+    for en in table:
+        form = form * _entry_factor(en)
     return form.to_ratfun()
 
 
@@ -166,14 +157,14 @@ def scaling_exponent_check(t: JordanType, k: int) -> bool:
         raise ValueError("k must be >= 1")
     original = FactoredRationalFunction()
     transformed = FactoredRationalFunction(-k * dim_F_uX(t), 0)
-    table = exponent_table(t)
-    for en in table.entries:
+    for en in exponent_table(t):
         f = _entry_factor(en)
         original = original * f
         transformed = transformed * FactoredRationalFunction(
             -k * 2 * en.d_j * en.e, k * 2 * en.d_j * en.s_coeff) * f
+    inv = orbit_dimension(t)
     return transformed / original == FactoredRationalFunction(
-        -k * table.half_dim, k * table.c)
+        -k * inv.half_dim, k * inv.c_exponent)
 
 
 # ---------------------------------------------------------------------------

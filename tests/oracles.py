@@ -133,7 +133,7 @@ def embed_m_x(ad: AdaptedParabolic, model: QuadraticExtensionModel,
     sigma^(j-i)(g_j), which is what commuting with the representative
     through the identifications by its powers demands.
     """
-    n = ad.jordan_type.n
+    n = ad.n
     z = model.zero
     rows = [[z] * n for _ in range(n)]
     for (i, j, off, size) in ad.groups:

@@ -118,8 +118,8 @@ def test_bad_q_exits_2(capsys):
 @pytest.mark.parametrize("q", ["1", "12"])
 @pytest.mark.parametrize("field", ["rational", "finite"])
 def test_q_not_a_prime_power_exits_2(capsys, q, field):
-    # over the finite field --q is read with the configuration, over Q by
-    # the census suite itself; both give the same error
+    # census reads --q as its field with the configuration, whatever
+    # --field says, so both give the same error
     assert main(["verify", "census", "--field", field, "--q", q]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -134,6 +134,21 @@ def test_q8_is_the_field_with_8_elements(capsys):
     assert report["config"]["field"] == {"kind": "finite", "p": 2, "e": 3}
     # GL_1(E) for E = F_64, the quadratic extension of F_8
     assert [c["group_order"] for c in report["cases"]] == [63]
+
+
+def test_census_and_dimhy_report_the_field_they_count_over(capsys):
+    # without --field finite, the report names F_q from --q, not Q(sqrt 2)
+    code, out = run_cli(capsys, "verify", "census", "--n", "1", "--q", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["field"] == {"kind": "finite", "p": 2, "e": 3}
+    assert [c["group_order"] for c in report["cases"]] == [63]
+    code, out = run_cli(capsys, "verify", "dimHY", "--n-max", "2", "--q", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["field"] == {"kind": "finite", "p": 3, "e": 1}
+    assert all(c["case"].endswith("q=3") for c in report["cases"]
+               if c["case"].startswith("flag"))
 
 
 def test_bad_budget_exits_2(capsys):

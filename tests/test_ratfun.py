@@ -14,7 +14,7 @@ from tworb.orbits import enumerate_orbits
 from tworb.ratfun import FactoredRationalFunction
 from tworb.ratfun import NonUnitDenominator as SeriesNeedsUnit
 from tworb.ratfun import _cyclotomic
-from tworb.zeta import local_zeta_factors, local_zeta_model
+from tworb.zeta import _entry_factor, exponent_table, local_zeta_model
 
 BRF = BivariateRationalFunction
 FRF = FactoredRationalFunction
@@ -233,16 +233,17 @@ def test_render_matches_sympy_cancel(form):
 def _catalog_forms(n_max):
     for n in range(1, n_max + 1):
         for t in enumerate_orbits(n):
+            table = exponent_table(t)
             form = FRF()
-            for f in local_zeta_factors(t):
-                form = form * f
-            yield t, form
+            for en in table:
+                form = form * _entry_factor(en)
+            yield t, table, form
 
 
 def test_series_and_values_match_oracle_n6():
     """series_expand(5) and evaluate against sympy for every type n <= 6."""
-    for t, form in _catalog_forms(6):
-        got, want = local_zeta_model(t), render(form)
+    for t, table, form in _catalog_forms(6):
+        got, want = local_zeta_model(table), render(form)
         assert got.to_json() == want.to_json(), t
         got_series, want_series = got.series_expand(5), want.series_expand(5)
         assert [c.to_json() for c in got_series] == \

@@ -8,15 +8,17 @@ from oracles import igusa_shell_measures_naive
 from sympy_ratfun import ONE, BivariateRationalFunction, Q, T as TVAR, \
     from_json
 
+import tworb.cli as cli
 import tworb.zeta as zeta
+from tworb.cli import RunConfig, cmd_orbits
 from tworb.fields import make_extension
 from tworb.linalg import mat_eq
 from tworb.orbits import JordanType, enumerate_orbits, orbit_dimension, \
     standard_representative
 from tworb.parabolic import ShapeMismatch
-from tworb.zeta import (delta_matrix, dim_F_uX, exponent_table,
-                        homogeneity_identity_check, igusa_matrix_factor,
-                        igusa_shell_measures, local_zeta_factors,
+from tworb.zeta import (_entry_factor, delta_matrix, dim_F_uX,
+                        exponent_table, homogeneity_identity_check,
+                        igusa_matrix_factor, igusa_shell_measures,
                         local_zeta_model, scaling_exponent_check)
 
 RAT = make_extension({"kind": "rational", "tau": 2})
@@ -42,9 +44,9 @@ def test_delta_identity_blocks_give_representative():
         for t in enumerate_orbits(n):
             blocks = {}
             for j in range(2, t.r + 1):
-                if t.d(j) < 1:
+                size = t.parts.count(j)
+                if size < 1:
                     continue
-                size = t.d(j)
                 ident = tuple(tuple(1 if a == b else 0 for b in range(size))
                               for a in range(size))
                 for i in range(1, j):
@@ -73,37 +75,40 @@ def test_delta_shape_mismatch():
 
 def test_exponent_table_2():
     table = exponent_table(T(2))
-    assert [(e.i, e.j, e.e, e.s_coeff) for e in table.entries] == \
-        [(1, 2, 1, 1)]
-    assert (table.half_dim, table.c) == (2, 2)
+    assert [(e.i, e.j, e.e, e.s_coeff) for e in table] == [(1, 2, 1, 1)]
+    inv = orbit_dimension(T(2))
+    assert (inv.half_dim, inv.c_exponent) == (2, 2)
 
 
 def test_exponent_table_21():
     table = exponent_table(T(2, 1))
-    assert [(e.i, e.j, e.e, e.s_coeff) for e in table.entries] == \
-        [(1, 2, 2, 1)]
-    assert (table.half_dim, table.c) == (4, 2)
+    assert [(e.i, e.j, e.e, e.s_coeff) for e in table] == [(1, 2, 2, 1)]
+    inv = orbit_dimension(T(2, 1))
+    assert (inv.half_dim, inv.c_exponent) == (4, 2)
 
 
 def test_exponent_table_31():
     table = exponent_table(T(3, 1))
-    assert [(e.i, e.j, e.e, e.s_coeff) for e in table.entries] == \
+    assert [(e.i, e.j, e.e, e.s_coeff) for e in table] == \
         [(1, 3, 2, 2), (2, 3, 1, 1)]
 
 
 def test_exponent_table_column_type_empty():
-    table = exponent_table(T(1, 1, 1, 1))
-    assert table.entries == ()
-    assert (table.half_dim, table.c) == (0, 0)
+    assert exponent_table(T(1, 1, 1, 1)) == ()
+    inv = orbit_dimension(T(1, 1, 1, 1))
+    assert (inv.half_dim, inv.c_exponent) == (0, 0)
 
 
 def test_exponent_table_totals_match_orbit_dimension():
+    # the two identities of homogeneity_identity_check, summed here
     for n in range(0, 13):
         for t in enumerate_orbits(n):
             table = exponent_table(t)
             inv = orbit_dimension(t)
-            assert table.half_dim == inv.half_dim
-            assert table.c == inv.c_exponent
+            assert 2 * sum(en.d_j * en.e for en in table) + dim_F_uX(t) == \
+                inv.half_dim, t
+            assert 2 * sum(en.d_j * en.s_coeff for en in table) == \
+                inv.c_exponent, t
 
 
 # -- homogeneity identities ----------------------------------------------------
@@ -114,7 +119,7 @@ def test_homogeneity_identity_examples():
     assert homogeneity_identity_check(T(2))
     # (3,1): 6 + 4 = 10 and 6 = 6
     table = exponent_table(T(3, 1))
-    assert 2 * sum(e.d_j * e.e for e in table.entries) == 6
+    assert 2 * sum(e.d_j * e.e for e in table) == 6
     assert dim_F_uX(T(3, 1)) == 4
     assert homogeneity_identity_check(T(3, 1))
     assert homogeneity_identity_check(T(1, 1, 1, 1))
@@ -184,18 +189,19 @@ def test_shell_measures_d1_p2_closed_form():
 
 
 def test_local_model_trivial_for_zero_orbit():
-    assert local_zeta_model(T(1, 1, 1)).to_json() == ONE.to_json()
+    assert local_zeta_model(exponent_table(T(1, 1, 1))).to_json() == \
+        ONE.to_json()
 
 
 def test_local_model_2():
     # single factor with exponent 1 + s: pole when q^(-(1+s)+... ) i.e.
     # denominator q^2 - T after clearing negative powers
-    assert local_zeta_model(T(2)).to_json() == \
+    assert local_zeta_model(exponent_table(T(2))).to_json() == \
         BRF(Q * (Q - 1), Q**2 - TVAR).to_json()
 
 
 def test_local_model_21():
-    assert local_zeta_model(T(2, 1)).to_json() == \
+    assert local_zeta_model(exponent_table(T(2, 1))).to_json() == \
         BRF(Q**2 * (Q - 1), Q**3 - TVAR).to_json()
 
 
@@ -216,23 +222,22 @@ def test_local_model_matches_sympy_product_n5():
     for n in range(1, 6):
         for t in enumerate_orbits(n):
             product = BRF(1)
-            entries = exponent_table(t).entries
-            factors = local_zeta_factors(t)
-            assert len(factors) == len(entries), t
-            for en, f in zip(entries, factors):
+            table = exponent_table(t)
+            for en in table:
                 shifted = _sympy_igusa_value(en.d_j).substitute_T(
                     en.e, en.s_coeff)
-                assert f.to_ratfun().to_json() == shifted.to_json(), t
+                assert _entry_factor(en).to_ratfun().to_json() == \
+                    shifted.to_json(), t
                 product = product * shifted
-            assert local_zeta_model(t).to_json() == product.to_json(), t
+            assert local_zeta_model(table).to_json() == product.to_json(), t
 
 
 def test_local_factor_provenance():
-    # one factor per exponent-table entry, in table order
-    entries = exponent_table(T(3, 1)).entries
+    # each exponent-table entry's factor is its block's shifted Igusa factor
+    entries = exponent_table(T(3, 1))
     assert [(en.i, en.j, en.d_j, en.e, en.s_coeff) for en in entries] == \
         [(1, 3, 1, 2, 2), (2, 3, 1, 1, 1)]
-    assert [f.factors for f in local_zeta_factors(T(3, 1))] == \
+    assert [_entry_factor(en).factors for en in entries] == \
         [{(1, 0): 1, (3, 2): -1}, {(1, 0): 1, (2, 1): -1}]
 
 
@@ -244,13 +249,11 @@ def test_scaling_exponent_examples():
 
 def test_scaling_factor_values():
     # (2), k=1: the transformed/original ratio is q^-2 T^2
-    from tworb.zeta import local_zeta_factors as lzf
-
     t = T(2)
     transformed = BRF.monomial(-dim_F_uX(t), 0)
     original = BRF(1)
-    for en, f in zip(exponent_table(t).entries, lzf(t)):
-        value = from_json(f.to_ratfun().to_json())
+    for en in exponent_table(t):
+        value = from_json(_entry_factor(en).to_ratfun().to_json())
         original = original * value
         transformed = transformed * (
             BRF.monomial(-2 * en.d_j * en.e, 2 * en.d_j * en.s_coeff) * value)
@@ -306,6 +309,21 @@ def test_scaling_check_builds_one_exponent_table(monkeypatch):
             calls.clear()
             assert scaling_exponent_check(t, k)
             assert calls == [t], (t, k)
+
+
+def test_orbit_catalog_builds_one_exponent_table_per_row(monkeypatch):
+    calls = []
+    real_table = zeta.exponent_table
+
+    def counted(t):
+        calls.append(t)
+        return real_table(t)
+
+    monkeypatch.setattr(zeta, "exponent_table", counted)
+    monkeypatch.setattr(cli, "exponent_table", counted)
+    code, report = cmd_orbits(RunConfig(n=6))
+    assert code == 0 and len(report["rows"]) == 11
+    assert calls == enumerate_orbits(6)
 
 
 def test_scaling_rejects_bad_k():
