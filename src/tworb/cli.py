@@ -389,7 +389,8 @@ def _config_from(args) -> RunConfig:
         fdesc = {"kind": "rational", "tau": args.tau}
     if args.trials < 1 or args.series_order < 0 or args.budget < 1:
         raise FieldModelError("budgets must be positive")
-    make_extension(fdesc)  # validate early
+    # no model is built here: centralizer, uX, porb and induce build theirs
+    # before any output, and the other commands compute over no field
     return RunConfig(field=fdesc, seed=seed, fmt=args.format, n=args.n,
                      n_max=args.n_max, q=args.q, trials=args.trials,
                      series_order=args.series_order, budget=args.budget)

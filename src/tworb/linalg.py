@@ -230,7 +230,26 @@ def is_nilpotent(y: TwistedEndo) -> bool:
     each inside the one before; once two consecutive images agree, all
     later ones do.  So the dimensions fall strictly until they settle,
     which happens by power n, and a nilpotent map vanishes by power n.
+
+    Before any power, the trace of N = Y sigma(Y) is tested:
+    sum_i Y_ii sigma(Y_ii) + sum_(i<j) (Y_ij sigma(Y_ji) + Y_ji sigma(Y_ij)),
+    skipping every pair with a zero entry.  N is E-linear and N^k = P_2k,
+    so a nilpotent Y has a nilpotent N, whose trace is 0: a nonzero trace
+    proves Y is not nilpotent, and only a zero one goes on to the powers.
+    tr N is fixed by sigma, so it lies in F, and a random map is rejected
+    here with probability about 1 - 1/q.
     """
+    mat, n, sigma = y.mat, y.n, y.model.sigma
+    terms = []
+    for i, row in enumerate(mat):
+        if row[i]:
+            terms.append(row[i] * sigma(row[i]))
+        for j in range(i + 1, n):
+            a, b = row[j], mat[j][i]
+            if a and b:
+                terms += (a * sigma(b), b * sigma(a))
+    if terms and sum(terms[1:], terms[0]):
+        return False
     return mat_is_zero(twisted_power(y, y.n))
 
 

@@ -221,7 +221,9 @@ def orbit_census(n: int, model: QuadraticExtensionModel, *,
     Exhaustive when the matrix count fits the budget; otherwise a seeded
     sample of ``sample_size`` matrices must be requested explicitly.
     Each matrix is classified by one jordan_type_of call, which raises
-    NotNilpotent unless twisted_power(Y, n) = 0.  Buckets are plain
+    NotNilpotent unless twisted_power(Y, n) = 0.  Most matrices are not
+    nilpotent, and is_nilpotent rejects about 1 - 1/q of them by the
+    trace of Y sigma(Y) before any twisted power.  Buckets are plain
     counts keyed by type, so partial enumerations over index ranges merge
     associatively; the returned dict is in canonical type order.
     """

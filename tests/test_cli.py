@@ -167,7 +167,24 @@ def test_census_over_budget_exits_2(capsys):
 
 
 def test_square_tau_exits_2(capsys):
-    assert main(["orbits", "--n", "2", "--tau", "4"]) == 2
+    assert main(["verify", "porb", "--n-max", "1", "--tau", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: tau=4 is a square in Q\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--n", "1"],
+    ["verify", "identity", "--n-max", "1"],
+    ["verify", "igusa", "--series-order", "1"],
+    ["verify", "scaling", "--n-max", "1"],
+])
+def test_field_free_commands_ignore_a_square_tau(capsys, argv):
+    # these compute over no field, so the radicand is never checked; the
+    # report still echoes the flags in config.field
+    code, out = run_cli(capsys, *argv, "--tau", "4")
+    assert code == 0
+    assert json.loads(out)["config"]["field"] == {"kind": "rational", "tau": 4}
 
 
 def test_induce_borel(capsys):

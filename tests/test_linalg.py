@@ -330,7 +330,86 @@ def test_jordan_type_ranks_the_powers_is_nilpotent_made(products):
     products.clear()
     with pytest.raises(NotNilpotent):
         jordan_type_of(y)
-    assert len(products) == 3
+    assert len(products) == 0  # tr(Y sigma(Y)) = 1 rejects it first
+
+
+# -- the trace prefilter of is_nilpotent -------------------------------------
+
+
+def _trace_of_y_sigma_y(y):
+    """tr(Y sigma(Y)) from the full product, no entry skipped."""
+    n_mat = mat_mul_naive(y.model, y.mat, mat_sigma(y.model, y.mat))
+    return sum((n_mat[i][i] for i in range(1, y.n)), n_mat[0][0])
+
+
+def _check_prefilter(maps, products):
+    """is_nilpotent against P_n = 0 on each map, with the products it made.
+
+    A nonzero trace must make no product, and a map that is not
+    nilpotent but passes the trace must make all n of them.  Returns the
+    counts of (nonzero trace, zero trace but not nilpotent, nilpotent).
+    """
+    counts = [0, 0, 0]
+    for rows in maps:
+        n = len(rows)
+        y = TwistedEndo(rows[0][0].model, n, rows)
+        nilpotent = _is_zero(alternating_product(y, n))  # no memo, no mat_mul
+        products.clear()
+        assert is_nilpotent(y) == nilpotent
+        if _trace_of_y_sigma_y(y):
+            assert not nilpotent and len(products) == 0
+            counts[0] += 1
+        elif not nilpotent:
+            assert len(products) == n
+            counts[1] += 1
+        else:
+            counts[2] += 1
+    return counts
+
+
+@pytest.mark.parametrize("model, rejected", [(F4, 120), (F9, 4320)],
+                         ids=["F4", "F9"])
+def test_trace_prefilter_is_exact_on_every_2x2_map(products, model,
+                                                    rejected):
+    elements = list(model.elements())
+    maps = [(row0, row1) for row0 in itertools.product(elements, repeat=2)
+            for row1 in itertools.product(elements, repeat=2)]
+    counts = _check_prefilter(maps, products)
+    # Q^(n(n-1)) nilpotents (Fine-Herstein), for Q = 4 and Q = 9
+    assert counts[0] == rejected and counts[2] == len(elements) ** 2
+
+
+def _small_entry(model, rng):
+    """Over Q(sqrt 2) a short list of entries, whose norms and traces
+    cancel often enough to give maps of trace 0 that are not nilpotent."""
+    if model is RAT:
+        return rng.choice([RAT.zero, RAT.one, -RAT.one, RAT.gen, -RAT.gen])
+    return model.random_element(rng)
+
+
+@pytest.mark.parametrize("model", [F4, F16, RAT],
+                         ids=["F4", "F16", "Q(sqrt2)"])
+def test_trace_prefilter_is_exact_on_seeded_3x3_maps(products, model):
+    rng = random.Random(19)
+    n = 3
+    maps = []
+    if model is RAT:  # from test_powers_asked_up_then_down_reuse_the_memo
+        maps.append(endo([[RAT.gen, 1, 0], [0, 1, 2], [3, 0, 1]]).mat)
+    for _ in range(150):
+        maps.append(tuple(tuple(_small_entry(model, rng) for _ in range(n))
+                          for _ in range(n)))
+    for _ in range(30):  # nilpotents with entries on both sides of the diagonal
+        upper = TwistedEndo(model, n, tuple(
+            tuple(_small_entry(model, rng) if j > i else model.zero
+                  for j in range(n)) for i in range(n)))
+        h = tuple(tuple(_small_entry(model, rng) for _ in range(n))
+                  for _ in range(n))
+        try:
+            maps.append(sigma_conjugate(h, upper).mat)
+        except SingularMatrix:
+            pass
+    counts = _check_prefilter(maps, products)
+    assert all(counts), counts
 
 
 def test_integral_rational_products_keep_int_payloads():

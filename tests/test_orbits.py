@@ -215,6 +215,15 @@ def test_census_n2_q2_exhaustive():
     assert counts[T(2)] == 15
 
 
+def test_census_n2_q3_totals_q_to_the_n_n_minus_1():
+    # Fine-Herstein: gl_n(F_Q) holds Q^(n(n-1)) nilpotents, and each twisted
+    # orbit has as many points as the ordinary one of its type, so a map
+    # the nilpotence test wrongly rejected would lower this total
+    counts = orbit_census(2, F9)
+    assert counts == {T(2): 80, T(1, 1): 1}
+    assert sum(counts.values()) == 9 ** (2 * 1)
+
+
 def test_nilpotency_criteria_agree_exhaustively():
     # is_nilpotent tests P_n = 0, which holds iff Y sigma(Y) is nilpotent
     # as an E-matrix; for n = 2 the latter is (Y sigma(Y))^2 = 0
