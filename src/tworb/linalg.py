@@ -250,7 +250,7 @@ def is_nilpotent(y: TwistedEndo) -> bool:
                 terms += (a * sigma(b), b * sigma(a))
     if terms and sum(terms[1:], terms[0]):
         return False
-    return mat_is_zero(twisted_power(y, y.n))
+    return mat_is_zero(twisted_power(y, n))
 
 
 # ---------------------------------------------------------------------------
