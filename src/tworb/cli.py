@@ -220,6 +220,9 @@ def suite_census(cfg: RunConfig) -> list[dict]:
     return cases
 
 
+# the commands that build no field model, so they accept any --tau and --q
+FIELD_FREE = ("orbits", "identity", "igusa", "scaling")
+
 SUITES = {
     "centralizer": suite_centralizer,
     "identity": suite_identity,
@@ -381,10 +384,16 @@ def _config_from(args) -> RunConfig:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("TWORB_SEED", "0"))
+    command = getattr(args, "suite", None) or args.command
     # census and dimHY count over F_q from --q, whatever --field says
-    if args.field == "finite" or getattr(args, "suite", None) in (
-            "census", "dimHY"):
-        fdesc = _finite_field(args.q)
+    if args.field == "finite" or command in ("census", "dimHY"):
+        try:
+            fdesc = _finite_field(args.q)
+        except FieldModelError:
+            # a command over no field never reads q; it echoes q as given
+            if command not in FIELD_FREE:
+                raise
+            fdesc = {"kind": "finite", "q": args.q}
     else:
         fdesc = {"kind": "rational", "tau": args.tau}
     if args.trials < 1 or args.series_order < 0 or args.budget < 1:

@@ -173,18 +173,47 @@ def test_square_tau_exits_2(capsys):
     assert captured.err == "configuration error: tau=4 is a square in Q\n"
 
 
-@pytest.mark.parametrize("argv", [
+FIELD_FREE_ARGV = [
     ["orbits", "--n", "1"],
     ["verify", "identity", "--n-max", "1"],
     ["verify", "igusa", "--series-order", "1"],
     ["verify", "scaling", "--n-max", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", FIELD_FREE_ARGV)
 def test_field_free_commands_ignore_a_square_tau(capsys, argv):
     # these compute over no field, so the radicand is never checked; the
     # report still echoes the flags in config.field
     code, out = run_cli(capsys, *argv, "--tau", "4")
     assert code == 0
     assert json.loads(out)["config"]["field"] == {"kind": "rational", "tau": 4}
+
+
+@pytest.mark.parametrize("argv", FIELD_FREE_ARGV)
+def test_field_free_commands_ignore_a_q_that_is_no_prime_power(capsys, argv):
+    # q is echoed as given when it names no field, and as p and e otherwise
+    code, out = run_cli(capsys, *argv, "--field", "finite", "--q", "12")
+    assert code == 0
+    assert json.loads(out)["config"]["field"] == {"kind": "finite", "q": 12}
+    code, out = run_cli(capsys, *argv, "--field", "finite", "--q", "8")
+    assert code == 0
+    assert json.loads(out)["config"]["field"] == {"kind": "finite", "p": 2,
+                                                  "e": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "porb", "--n-max", "1"],
+    ["verify", "centralizer", "--n-max", "1"],
+    ["verify", "uX", "--n-max", "1"],
+    ["induce", "--levi", "1,1"],
+])
+def test_commands_over_a_field_reject_a_q_that_is_no_prime_power(capsys,
+                                                                  argv):
+    assert main([*argv, "--field", "finite", "--q", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: q=12 is not a prime power\n"
 
 
 def test_induce_borel(capsys):

@@ -326,6 +326,79 @@ def test_later_trials_start_from_the_rows_that_certified(monkeypatch):
     assert all(b == later[0] for b in later)
 
 
+def _levi_cases(n_max):
+    """(shape, Levi types) for every composition of n <= n_max and every
+    choice of a Jordan type per block."""
+    for n in range(1, n_max + 1):
+        for comp in _all_compositions(n):
+            shape = standard_parabolic(comp)
+            for types in itertools.product(*map(enumerate_orbits, comp)):
+                yield shape, types
+
+
+@pytest.mark.parametrize("model", [RAT, F4])
+def test_the_n_part_of_the_certificate_is_strictly_triangular(model):
+    # every W = X + Y is strictly upper triangular, so the bracket of E_ab
+    # with W lies at (a, j), j > b, and (i, b), i < a, all farther from the
+    # diagonal than (a, b): in the order of n_positions the image of the
+    # k-th position is zero at that position and at every later one
+    per = model.prime_dim_per_e_dim
+    nonzero_rows = 0
+    for seed, (shape, types) in enumerate(_levi_cases(6)):
+        x = blockwise_representative(shape, types, model)
+        y = sample_s_n(shape, model, random.Random(seed))
+        w = TwistedEndo(model, shape.n, tuple(
+            tuple(a + b for a, b in zip(rx, ry))
+            for rx, ry in zip(x.mat, y.mat)))
+        n_pos = _levi_block(shape, x).n_positions
+        assert sorted(n_pos) == sorted(shape.n_mask)
+        rows = bracket_system(w, n_pos, n_pos).rows
+        for i, row in enumerate(rows):
+            k = i // per
+            assert not any(row[k * per:]), (shape.composition, types,
+                                             n_pos[k])
+        nonzero_rows += sum(map(any, rows))
+    assert nonzero_rows > 0
+
+
+@pytest.mark.parametrize("model", [RAT, F9, F16, F4])
+def test_a_learned_basis_flattens_only_the_positions_it_reads(model,
+                                                              monkeypatch):
+    # a sample ranked on a learned basis flattens only the domain positions
+    # its rows read, fewer rows than the whole domain; one the basis fails
+    # to certify flattens the whole domain next, and either way the rank is
+    # that of a basis-free call.  Over F_4 (q = 2) bases do fail.
+    import tworb.parabolic as parabolic
+
+    flattened = []
+    real = parabolic.bracket_system
+    monkeypatch.setattr(
+        parabolic, "bracket_system",
+        lambda w, dom, cod: flattened.append(len(dom)) or real(w, dom, cod))
+    per = model.prime_dim_per_e_dim
+    on_basis = fallbacks = 0
+    for seed, (shape, types) in enumerate(_levi_cases(4)):
+        x = blockwise_representative(shape, types, model)
+        levi = parabolic._levi_block(shape, x)
+        rng, basis = random.Random(seed), None
+        for _ in range(6):
+            y = sample_s_n(shape, model, rng)
+            flattened.clear()
+            w, rank, kept = parabolic._sample_rank(x, levi, y, basis)
+            calls = list(flattened)
+            assert rank == parabolic._sample_rank(x, levi, y)[1]
+            if basis is not None and len(calls) == 1:
+                assert rank == levi.expected and kept == basis
+                assert calls[0] * per < len(levi.domain) * per
+                on_basis += 1
+            else:
+                assert calls[-1] == len(levi.domain)
+                fallbacks += basis is not None
+            basis = kept
+    assert on_basis > 0
+    assert fallbacks > 0 or model is not F4
+
+
 # -- induction ----------------------------------------------------------------
 
 
