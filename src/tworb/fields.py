@@ -32,7 +32,17 @@ methods, four Python calls per ``+`` or ``*``.  The exact rational
 certificates (twisted powers, bracket systems) make tens of thousands of
 them per run, so :class:`RationalElement` computes ``+``, ``*``,
 negation and truth itself, in one call each.  It subtracts through ``+``
-and negation: a run makes only a few hundred subtractions.  Finite
+and negation: a run makes only a few hundred subtractions.  Most of
+those operations are trivial: a twisted power multiplies by the zeros
+and ones of sigma(I) and of the strictly triangular factors, adds zero
+products, and applies sigma to entries with b = 0.  So ``x + 0`` and
+``x * 1`` return x; ``0 + y`` returns y and ``x * 0`` returns that zero
+when the operand is an element of x's model object; and
+``RationalModel.sigma`` returns an x with b = 0.  None of them builds an
+element.  A returned operand must belong to the result's model object,
+because the same-model fast path and ``linalg.mat_identity`` test model
+identity, not equality: an operand of an equal model from a separate
+``make_extension`` call is read, never returned.  Finite
 elements are still plain ExtElements: a faster finite path lets the
 benchmark's ``finite_census`` workload fit more passes into its fixed run
 time, and that workload's ``peak_rss_mb``, which inherits the benchmark
@@ -268,7 +278,7 @@ class ExtElement:
 # RationalElement builds its results with _new and two slot stores, which
 # skips the Python frame of ExtElement.__init__ on the hottest path
 _new = object.__new__
-_ZERO = (0, 0)
+_ZERO, _ONE = (0, 0), (1, 0)
 
 
 class RationalElement(ExtElement):
@@ -281,6 +291,13 @@ class RationalElement(ExtElement):
     m is read as (m, 0) without building an element.  Any other operand
     goes through :meth:`ExtElement._coerce`, so mixed models still raise
     FieldModelError and equal models from separate calls combine.
+
+    A trivial result is an existing element, not a new one: ``self + o``
+    returns self when o is zero and o when self is zero, ``self * o``
+    returns o when o is zero and self when o is one.  An operand o is
+    returned only when it is a RationalElement of self's model object, so
+    every result keeps ``self.model``; an int operand is never returned,
+    and a zero product by an int or an equal model is built as usual.
     """
 
     __slots__ = ()
@@ -294,13 +311,17 @@ class RationalElement(ExtElement):
 
     def __add__(self, other):
         if type(other) is RationalElement and other.model is self.model:
-            c, d = other.payload
+            cd = other.payload
+            if self.payload == _ZERO:
+                return other
         else:
             cd = self._other_payload(other)
             if cd is None:
                 return NotImplemented
-            c, d = cd
+        if cd == _ZERO:
+            return self
         a, b = self.payload
+        c, d = cd
         r = _new(RationalElement)
         r.model = self.model
         r.payload = (a + c, b + d)
@@ -320,13 +341,17 @@ class RationalElement(ExtElement):
 
     def __mul__(self, other):
         if type(other) is RationalElement and other.model is self.model:
-            c, d = other.payload
+            cd = other.payload
+            if cd == _ZERO:
+                return other
         else:
             cd = self._other_payload(other)
             if cd is None:
                 return NotImplemented
-            c, d = cd
+        if cd == _ONE:
+            return self
         a, b = self.payload
+        c, d = cd
         model = self.model
         r = _new(RationalElement)
         r.model = model
@@ -456,7 +481,12 @@ class RationalModel(QuadraticExtensionModel):
         return [(a, b), (tb, a)], [(-a, -b), (tb, a)]
 
     def sigma(self, x: RationalElement) -> RationalElement:
+        """a - b*sqrt(tau).  An x with b = 0 is fixed and is returned as it
+        is when it belongs to this model object; one of an equal model is
+        copied, so that the result belongs to this one."""
         a, b = x.payload
+        if not b and x.model is self:
+            return x
         r = _new(RationalElement)
         r.model = self
         r.payload = (a, -b)

@@ -8,6 +8,12 @@ differentiated twisted action of Z in gl_n(E) is Z*Y - Y*sigma(Z).
 twisted_power multiplies it out on the right, P_(k+1) = P_k *
 sigma^k(Y): each new factor is Y or sigma(Y), and the left factor is the
 power itself, whose zero entries, more as the powers fall, mat_mul skips.
+The right factor's zeros are still multiplied, and P_1 is still the
+product Y * sigma(I), because the benchmark's tracer pins the products
+and element operations of a twisted power.  Over Q(sqrt(tau)) those
+operations are cheap: sigma returns its fixed entries, a product with
+0 or 1 and a sum with 0 return an operand (see fields.RationalElement),
+so P_1 builds no element at all.
 
 All F-linear questions (centralizers, brackets, ranks) are answered by
 flattening E-coordinates over the prime field: over Q(sqrt(tau)) in the
@@ -199,11 +205,19 @@ def twisted_power(y: TwistedEndo, k: int) -> Matrix:
     P_1 = Y * sigma(I), and P_(k+1) = P_k * sigma^k(Y) for k >= 1, as
     Y^k(Y sigma(v)) = P_k sigma^k(Y) sigma^(k+1)(v): the factor is Y for
     even k and sigma(Y), made once per ``y``, for odd k.  By
-    associativity these are the alternating products.  The powers are
-    memoized on ``y``: a call makes only the products no earlier call
-    made, and none past the first zero power, which every later power
-    equals.  Each longer tuple is published whole, so callers sharing
-    ``y`` can at worst make a product twice.
+    associativity these are the alternating products.
+
+    P_1 stays a product rather than Y itself, because the benchmark's
+    tracer pins it.  Over Q(sqrt(tau)) it costs no allocation: sigma(I)
+    has I's own entries, and each product with its zeros and ones, like
+    each sum with a zero product, returns an operand, so P_1 is built
+    from Y's entries.  The later products do the same for the zeros of
+    the right factor.
+
+    The powers are memoized on ``y``: a call makes only the products no
+    earlier call made, and none past the first zero power, which every
+    later power equals.  Each longer tuple is published whole, so callers
+    sharing ``y`` can at worst make a product twice.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -269,16 +269,28 @@ def _ref_mul(x, y):
     return (a * c + RAT.tau * b * d, a * d + b * c)
 
 
-@given(payload_coords, payload_coords, payload_coords, payload_coords,
-       st.integers(-5, 5))
-def test_rational_element_matches_reference_formula(a, b, c, d, m):
-    x, y = RationalElement(RAT, (a, b)), RationalElement(RAT, (c, d))
-    fx, fy = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))
+# payloads the fast paths return as they are: zero, one and sigma-fixed
+# (c, 0), with int and integral-Fraction coordinates
+trivial_payloads = st.one_of(
+    st.sampled_from([(0, 0), (1, 0), (Fraction(0), Fraction(0)),
+                     (Fraction(1), Fraction(0)), (Fraction(1), 0)]),
+    st.tuples(payload_coords, st.sampled_from([0, Fraction(0)])))
+payloads = st.one_of(trivial_payloads,
+                     st.tuples(payload_coords, payload_coords))
+
+
+@given(payloads, payloads, st.one_of(st.sampled_from([0, 1]),
+                                     st.integers(-5, 5)))
+def test_rational_element_matches_reference_formula(xp, yp, m):
+    x, y = RationalElement(RAT, xp), RationalElement(RAT, yp)
+    fx, fy = tuple(map(Fraction, xp)), tuple(map(Fraction, yp))
     fm = (Fraction(m), Fraction(0))
     cases = [
         (x + y, (fx[0] + fy[0], fx[1] + fy[1])),
+        (y + x, (fx[0] + fy[0], fx[1] + fy[1])),
         (x - y, (fx[0] - fy[0], fx[1] - fy[1])),
         (x * y, _ref_mul(fx, fy)),
+        (y * x, _ref_mul(fy, fx)),
         (-x, (-fx[0], -fx[1])),
         (x + m, (fx[0] + m, fx[1])),
         (m + x, (fx[0] + m, fx[1])),
@@ -286,15 +298,44 @@ def test_rational_element_matches_reference_formula(a, b, c, d, m):
         (m - x, (m - fx[0], -fx[1])),
         (x * m, _ref_mul(fx, fm)),
         (m * x, _ref_mul(fm, fx)),
+        (RAT.sigma(x), (fx[0], -fx[1])),
     ]
     for got, want in cases:
         assert type(got) is RationalElement and got.model is RAT
         assert got.payload == want
     assert bool(x) is (fx != (0, 0))
-    if all(type(v) is int for v in (a, b, c, d)):
+    if all(type(v) is int for v in xp + yp):
         # Z[sqrt(tau)] computes in plain ints
         for got, _ in cases:
             assert all(type(v) is int for v in got.payload)
+
+
+def test_trivial_operations_return_an_operand_of_the_same_model():
+    x, zero, one = RAT.el(3, 1), RAT.zero, RAT.one
+    assert x + zero is x and zero + x is x and x - zero is x
+    assert x * one is x and x * zero is zero
+    fixed = RAT.el(Fraction(1, 2))
+    assert RAT.sigma(fixed) is fixed
+    # an int operand is read, never returned
+    assert type(zero + 5) is RationalElement and (zero + 5).payload == (5, 0)
+
+
+def test_trivial_operations_keep_the_model_object():
+    # an equal model from a second call is a different object; returning
+    # its elements would move a result out of RAT
+    other = make_extension({"kind": "rational", "tau": 2})
+    assert other == RAT and other is not RAT
+    z, z0 = other.el(3), other.zero
+    cases = [
+        (RAT.zero + z, (3, 0)),
+        (RAT.el(3, 1) * z0, (0, 0)),
+        (RAT.sigma(z), (3, 0)),
+        (RAT.el(3, 1) + z0, (3, 1)),
+        (RAT.el(3, 1) * other.one, (3, 1)),
+    ]
+    for got, want in cases:
+        assert type(got) is RationalElement and got.model is RAT
+        assert got.payload == want
 
 
 def test_rational_elements_have_their_own_class():
