@@ -350,6 +350,17 @@ def _scale_rows_to_int(rows) -> list[list[int]]:
     return out
 
 
+def _pivot_columns(rows: list[list], p: int, ints: bool = False) -> list[int]:
+    """Pivot columns over Q (p = 0) or F_p of a matrix over the prime
+    field, consuming ``rows``: over Q a matrix of ints goes to
+    fraction-free elimination as it is, and any other has every row
+    scaled to ints first.  ``ints`` says the caller knows every entry is
+    an int, which skips looking."""
+    if p:
+        return _rank_modp(rows, p)
+    return _rank_int(rows if ints else _scale_rows_to_int(rows))
+
+
 def _left_kernel(rows: list[list], p: int) -> tuple[int, list[list[int]]]:
     """Rank of a matrix over Q (p = 0) or F_p, and a basis of the
     coefficient vectors c with sum_i c_i * rows[i] = 0.
@@ -385,12 +396,11 @@ class FLinearSystem:
     ``rows`` are the images of the domain's prime basis, one row each, in
     prime coordinates of the codomain: over Q each entry is an int or a
     Fraction, over F_p each is an int.  The rank is taken on the
-    transpose without its all-zero rows; over Q a transpose of ints goes
-    to fraction-free elimination as it is, and any other has every row
-    scaled to ints first.  Stated dimensions are F-dimensions; for the
-    finite model they equal prime-field dimensions divided by
-    subfield_degree.  ``_basis`` keeps basis_rows once made; it takes no
-    part in ==, hash or dataclasses.replace.
+    transpose without its all-zero rows, by _pivot_columns.  Stated
+    dimensions are F-dimensions; for the finite model they equal
+    prime-field dimensions divided by subfield_degree.  ``_basis`` keeps
+    basis_rows once made; it takes no part in ==, hash or
+    dataclasses.replace.
     """
 
     rows: tuple
@@ -410,13 +420,8 @@ class FLinearSystem:
         """
         if self._basis is None:
             rows = [list(c) for c in zip(*self.rows) if any(c)]
-            if not rows:
-                pivots = ()
-            elif self.char == 0:
-                pivots = _rank_int(_scale_rows_to_int(rows))
-            else:
-                pivots = _rank_modp(rows, self.char)
-            object.__setattr__(self, "_basis", tuple(pivots))
+            object.__setattr__(self, "_basis",
+                               tuple(_pivot_columns(rows, self.char)))
         return self._basis
 
     def _to_F(self, dim: int) -> int:

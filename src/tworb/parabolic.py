@@ -33,24 +33,34 @@ fraction-free elimination fills in little.  The order changes no rank.
 
 Once a sample certifies, the rows that carried its rank (the greedy
 basis, as many as dim n) are kept, and each later sample of the case
-ranks those rows first, flattening the bracket of W only at the domain
-positions they read.  They are a subset of its system, whose rank cannot
-exceed dim n, so full rank on them certifies the sample exactly; only a
-sample they fail to certify is flattened and ranked on every row, which
-gives its exact rank, and its basis is kept if it certifies.
+ranks those rows first.  They are a subset of its system, whose rank
+cannot exceed dim n, so full rank on them certifies the sample exactly;
+only a sample they fail to certify is flattened and ranked on every row,
+which gives its exact rank, and its basis is kept if it certifies.
+
+The rows of a basis are linear in the prime coordinates of W's entries,
+and W is X, fixed for the case, with the sample's entries on n.  So each
+basis is compiled once per case (_compile_basis) into the transpose T of
+its rows with X's part summed in, plus, per n entry of W and prime
+coordinate, the cells of T it adds to and by what coefficient.  A later
+sample sums its entries into a copy of T and ranks it, with no bracket
+flattened.  The pivot columns of T do not depend on its row order, on
+row scaling or on all-zero rows, so the ranks, the bases kept and the
+reports are those of flattening the basis rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 from .fields import QuadraticExtensionModel, RationalElement
-from .linalg import (FLinearSystem, TwistedEndo, bracket_system, reduce_row,
-                     row_echelon)
+from .linalg import (FLinearSystem, TwistedEndo, _pivot_columns,
+                     bracket_system, reduce_row, row_echelon)
 from .orbits import (JordanType, jordan_type_of, orbit_dimension,
                      standard_representative)
 
@@ -166,7 +176,8 @@ def n_x_dim_oracle(t: JordanType, model: QuadraticExtensionModel) -> int:
 
 class _LeviBlock(NamedTuple):
     """The degree-0 part L_0 = [., X] on m of the certificate for one X,
-    and the positions every sample of the case flattens on.
+    the positions every sample of the case flattens on, and the bases
+    compiled for the case.
 
     ``kernel`` is a prime-field basis of ker L_0, each vector a tuple of
     (row, coefficient) pairs over the rows of bracket_system(., m), with
@@ -176,7 +187,9 @@ class _LeviBlock(NamedTuple):
     triangular W lies only at positions before it, so the n rows of a
     sample's system are strictly triangular (module docstring).
     ``domain`` is n_positions followed by the sorted m positions, the
-    domain _sample_rank flattens the bracket of W from.
+    domain _sample_rank flattens the bracket of W from.  ``compiled``
+    maps each basis a sample of the case was ranked on to its
+    _compile_basis, made on first use and kept for the case.
     """
 
     rank_F: int     # dim_F [m, X]
@@ -184,6 +197,7 @@ class _LeviBlock(NamedTuple):
     kernel: tuple
     n_positions: list
     domain: list
+    compiled: dict
 
 
 def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
@@ -200,7 +214,7 @@ def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
     n_positions = sorted(shape.n_mask, key=lambda ab: (ab[0] - ab[1], ab))
     rank, kernel = bracket_system(x, m, m).rank_and_kernel()
     return _LeviBlock(rank, rank + shape.dim_F_sN, tuple(kernel),
-                      n_positions, [*n_positions, *m])
+                      n_positions, [*n_positions, *m], {})
 
 
 def _combine(vec, rows) -> list:
@@ -210,6 +224,114 @@ def _combine(vec, rows) -> list:
     for j, c in rest:
         acc = [s + c * v for s, v in zip(acc, rows[j])]
     return acc
+
+
+class _CompiledBasis(NamedTuple):
+    """The rows ``basis`` of the second map of one case, as T, the
+    transpose of their system, affine in the sample's entries on n.
+
+    ``base`` is T at W = X: one row per codomain prime coordinate that
+    some term reaches, in codomain order, and one column per basis row.
+    ``terms`` holds, for each n position (i, j) the rows read, one tuple
+    per prime coordinate s of W[i][j], of the (T row, T column,
+    coefficient) cells to which that coordinate adds coefficient times
+    itself.  Over F_p the coefficients and ``base`` are reduced mod p;
+    over Q each T row is scaled to clear its denominators, so that they
+    are ints, which changes no pivot column.
+    """
+
+    base: tuple
+    terms: tuple
+
+
+def _compile_basis(x: TwistedEndo, levi: _LeviBlock,
+                   basis: tuple) -> _CompiledBasis:
+    """Compile the rows ``basis`` of the second map for W = X + Y.
+
+    The bracket of c E_ab with W puts c W[b][j] at (a, j) and
+    -sigma(c) W[i][a] at (i, b), as in bracket_system, and the prime
+    coordinates of c v are linear in those of v: the coefficients of
+    v's s-th coordinate are those of c u_s, for u_s the s-th prime basis
+    element, read off the model's _basis_products(u_s).  A kernel row is
+    its combination of m rows, folded in here.  X's entries, on m, are
+    the same for every sample and go into ``base``; Y's, on n, into
+    ``terms``.  Entries off m and n are zero in every W.
+    """
+    model, n = x.model, x.n
+    per = model.prime_dim_per_e_dim
+    n_pos = levi.n_positions
+    split = len(n_pos) * per
+    m_pos = levi.domain[len(n_pos):]
+    first = {pos: k * per for k, pos in enumerate(n_pos)}
+    unit = [model._basis_products(u) for u in model.prime_basis()]
+    const = {}  # (T row, T column) -> value at W = X
+    coeffs = {}  # (i, j) -> per s, {(T row, T column): coefficient}
+
+    def add(cell, row0, products, weight, col):
+        for u, v in enumerate(products):
+            cell[row0 + u, col] = cell.get((row0 + u, col), 0) + weight * v
+
+    for col, r in enumerate(basis):
+        if r < split:
+            sources = [(n_pos[r // per], r % per, 1)]
+        else:
+            sources = [(m_pos[k // per], k % per, c)
+                       for k, c in levi.kernel[r - split]]
+        for (a, b), t, weight in sources:
+            reads = [(first.get((a, j)), (b, j), 0) for j in range(n)]
+            reads += [(first.get((i, b)), (i, a), 1) for i in range(n)]
+            for row0, (i, j), side in reads:
+                if row0 is None:
+                    continue
+                if (i, j) in first:
+                    by_s = coeffs.setdefault((i, j), [{} for _ in unit])
+                    for cell, products in zip(by_s, unit):
+                        add(cell, row0, products[side][t], weight, col)
+                elif x.mat[i][j]:
+                    products = model._basis_products(x.mat[i][j])
+                    add(const, row0, products[side][t], weight, col)
+    p = model.char
+    cells = [const, *itertools.chain.from_iterable(coeffs.values())]
+    scale = {}  # over Q, the lcm of the denominators in each T row
+    for cell in cells:
+        for key, v in list(cell.items()):
+            if p:
+                v = cell[key] = v % p
+            if not v:
+                del cell[key]
+            elif not p:
+                scale[key[0]] = math.lcm(scale.get(key[0], 1), v.denominator)
+    if not p:
+        for cell in cells:
+            for key, v in cell.items():
+                cell[key] = int(v * scale[key[0]])
+    reached = sorted({row for cell in cells for row, _ in cell})
+    index = {row: k for k, row in enumerate(reached)}
+    base = [[0] * len(basis) for _ in reached]
+    for (row, col), v in const.items():
+        base[index[row]][col] = v
+    terms = tuple(
+        (ij, tuple(tuple((index[row], col, v)
+                         for (row, col), v in cell.items())
+                   for cell in by_s))
+        for ij, by_s in coeffs.items() if any(by_s))
+    return _CompiledBasis(tuple(map(tuple, base)), terms)
+
+
+def _basis_transpose(compiled: _CompiledBasis,
+                     w: TwistedEndo) -> tuple[list, bool]:
+    """T for the sample W, ``base`` plus each term times W's coordinate,
+    and whether every coordinate read was an int, so that T is too."""
+    t = [list(r) for r in compiled.base]
+    ints = True
+    mat = w.mat
+    for (i, j), by_coord in compiled.terms:
+        for v, cells in zip(mat[i][j].payload, by_coord):
+            if v:
+                ints = ints and type(v) is int
+                for row, col, c in cells:
+                    t[row][col] += c * v
+    return t, ints
 
 
 def _sample_rank(x: TwistedEndo, levi: _LeviBlock, y: TwistedEndo,
@@ -231,54 +353,38 @@ def _sample_rank(x: TwistedEndo, levi: _LeviBlock, y: TwistedEndo,
     updates, against 13 in row-major order and 52 with the kernel
     combinations first.
 
-    ``basis`` indexes rows of the second map that certified an earlier
-    sample, in its row order: n rows, then one per kernel vector.  Only
-    the domain positions those rows read are flattened (the n positions
-    of its n rows and the m positions its kernel vectors touch), and
-    their rows are combined and ranked first.  They are some of the rows of W's
-    second map, whose rank is at most the prime dimension of n, so if
-    theirs reaches it, W is certified exactly.  Otherwise, or with no
-    basis, the whole domain is flattened and every row is ranked, for the
-    exact rank.  The basis returned is the one that certified W
-    (``basis`` itself, or the greedy basis of every row), or ``basis`` as
-    given when W is not certified.
+    ``basis``, a tuple, indexes rows of the second map that certified an
+    earlier sample, in its row order: n rows, then one per kernel vector.
+    It is compiled once per case (_compile_basis, kept in
+    levi.compiled), and W's entries on n fill its transpose, which is
+    ranked over the prime field, where n has dimension split: the rows
+    of a basis need not span an F-subspace.  They are some of the rows
+    of W's second map, whose rank is at most split, so if theirs reaches
+    it, W is certified exactly.  Otherwise, or with no basis, the whole
+    domain is flattened and every row is ranked, for the exact rank.
+    The basis returned is the one that certified W (``basis`` itself, or
+    the greedy basis of every row), or ``basis`` as given when W is not
+    certified.
     """
     model, n = x.model, x.n
-    per = model.prime_dim_per_e_dim
-    n_pos, domain = levi.n_positions, levi.domain
+    n_pos = levi.n_positions
     overlay = [list(r) for r in x.mat]
     for i, j in n_pos:
         overlay[i][j] = y.mat[i][j]
     w = TwistedEndo(model, n, tuple(map(tuple, overlay)))
-    split = len(n_pos) * per
-
-    def system(kept, read, subfield_degree):
-        """The rows ``kept`` of the second map, with the bracket of W
-        flattened from the domain indices ``read`` only."""
-        rows = [None] * (len(domain) * per)
-        flat = bracket_system(w, [domain[d] for d in read], n_pos).rows
-        for k, d in enumerate(read):
-            rows[d * per:(d + 1) * per] = flat[k * per:(k + 1) * per]
-        levi_rows = rows[split:]
-        return FLinearSystem(tuple(
-            rows[i] if i < split else _combine(levi.kernel[i - split],
-                                               levi_rows)
-            for i in kept), model.char, subfield_degree)
-
-    # the rows of a basis need not span an F-subspace, so they are ranked
-    # over the prime field, where n has dimension split
+    split = len(n_pos) * model.prime_dim_per_e_dim
     if basis is not None:
-        read = set()
-        for i in basis:
-            if i < split:
-                read.add(i // per)
-            else:
-                read.update(len(n_pos) + r // per
-                            for r, _ in levi.kernel[i - split])
-        if system(basis, sorted(read), 1).rank_F() == split:
+        compiled = levi.compiled.get(basis)
+        if compiled is None:
+            compiled = levi.compiled[basis] = _compile_basis(x, levi, basis)
+        t, ints = _basis_transpose(compiled, w)
+        if len(_pivot_columns(t, model.char, ints)) == split:
             return w, levi.expected, basis
-    full = system(range(split + len(levi.kernel)), range(len(domain)),
-                  model.subfield_degree)
+    rows = bracket_system(w, levi.domain, n_pos).rows
+    levi_rows = rows[split:]
+    full = FLinearSystem(
+        rows[:split] + tuple(_combine(vec, levi_rows) for vec in levi.kernel),
+        model.char, model.subfield_degree)
     rank = levi.rank_F + full.rank_F()
     return w, rank, full.basis_rows() if rank == levi.expected else basis
 

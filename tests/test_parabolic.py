@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +13,8 @@ from oracles import embed_m_x
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
-from tworb.linalg import (TwistedEndo, bracket_system, mat_eq, mat_mul,
-                          mat_sigma)
+from tworb.linalg import (FLinearSystem, TwistedEndo, _pivot_columns,
+                          bracket_system, mat_eq, mat_mul, mat_sigma)
 from tworb.orbits import (JordanType, enumerate_orbits, orbit_dimension,
                           standard_representative)
 from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
@@ -25,6 +27,7 @@ from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 RAT3 = make_extension({"kind": "rational", "tau": 3})
+RAT_2_3 = make_extension({"kind": "rational", "tau": Fraction(2, 3)})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
 F9 = make_extension({"kind": "finite", "p": 3, "e": 1})
 F16 = make_extension({"kind": "finite", "p": 2, "e": 2})
@@ -364,9 +367,9 @@ def test_the_n_part_of_the_certificate_is_strictly_triangular(model):
 @pytest.mark.parametrize("model", [RAT, F9, F16, F4])
 def test_a_learned_basis_flattens_only_the_positions_it_reads(model,
                                                               monkeypatch):
-    # a sample ranked on a learned basis flattens only the domain positions
-    # its rows read, fewer rows than the whole domain; one the basis fails
-    # to certify flattens the whole domain next, and either way the rank is
+    # a learned basis is compiled to read W's entries directly, so a sample
+    # certified on it flattens no bracket at all; one the basis fails to
+    # certify flattens the whole domain next, and either way the rank is
     # that of a basis-free call.  Over F_4 (q = 2) bases do fail.
     import tworb.parabolic as parabolic
 
@@ -375,7 +378,6 @@ def test_a_learned_basis_flattens_only_the_positions_it_reads(model,
     monkeypatch.setattr(
         parabolic, "bracket_system",
         lambda w, dom, cod: flattened.append(len(dom)) or real(w, dom, cod))
-    per = model.prime_dim_per_e_dim
     on_basis = fallbacks = 0
     for seed, (shape, types) in enumerate(_levi_cases(4)):
         x = blockwise_representative(shape, types, model)
@@ -387,16 +389,143 @@ def test_a_learned_basis_flattens_only_the_positions_it_reads(model,
             w, rank, kept = parabolic._sample_rank(x, levi, y, basis)
             calls = list(flattened)
             assert rank == parabolic._sample_rank(x, levi, y)[1]
-            if basis is not None and len(calls) == 1:
+            if basis is not None and not calls:
                 assert rank == levi.expected and kept == basis
-                assert calls[0] * per < len(levi.domain) * per
                 on_basis += 1
             else:
-                assert calls[-1] == len(levi.domain)
+                assert calls == [len(levi.domain)]
                 fallbacks += basis is not None
             basis = kept
     assert on_basis > 0
     assert fallbacks > 0 or model is not F4
+
+
+def _basis_system(levi, w, basis):
+    """The rows ``basis`` of W's second map, written out from
+    bracket_system over the whole domain and the Levi kernel vectors."""
+    per = w.model.prime_dim_per_e_dim
+    split = len(levi.n_positions) * per
+    rows = bracket_system(w, levi.domain, levi.n_positions).rows
+    kept = []
+    for r in basis:
+        if r < split:
+            kept.append(list(rows[r]))
+            continue
+        acc = [0] * split
+        for k, c in levi.kernel[r - split]:
+            acc = [s + c * v for s, v in zip(acc, rows[split + k])]
+        kept.append(acc)
+    return FLinearSystem(tuple(kept), w.model.char)
+
+
+@pytest.mark.parametrize("model", [RAT, RAT3, RAT_2_3, F4, F9, F16])
+def test_a_compiled_basis_fills_the_transpose_of_its_rows(model):
+    # for a learned basis and for that basis less one row, the compiled T
+    # of a later sample is the transpose of the basis rows flattened
+    # through bracket_system, apart from all-zero rows, mod p over F_p and
+    # up to a positive scale per row over Q (where T's rows are scaled to
+    # clear denominators), and its pivot columns are the greedy basis of
+    # those rows
+    import tworb.parabolic as parabolic
+
+    p = model.char
+
+    def on_its_ray(row):
+        if p:
+            return [v % p for v in row]
+        mult = math.lcm(*(Fraction(v).denominator for v in row))
+        ints = [int(v * mult) for v in row]
+        g = math.gcd(*ints)
+        return [v // g for v in ints] if g else ints
+
+    def nonzero_rows(rows):
+        return [r for r in map(on_its_ray, rows) if any(r)]
+
+    checked = with_kernel_rows = scanned = 0
+    for seed, (shape, types) in enumerate(_levi_cases(4)):
+        x = blockwise_representative(shape, types, model)
+        levi = parabolic._levi_block(shape, x)
+        rng = random.Random(seed)
+        learned = None
+        for _ in range(10):
+            learned = parabolic._sample_rank(
+                x, levi, sample_s_n(shape, model, rng))[2]
+            if learned is not None:
+                break
+        assert learned is not None
+        y = sample_s_n(shape, model, rng)
+        samples = [y]
+        if not p:  # and one whose entries on n are Fractions
+            half = model.el(Fraction(1, 2))
+            samples.append(TwistedEndo(model, shape.n, tuple(
+                tuple(v * half for v in row) for row in y.mat)))
+        split = len(levi.n_positions) * model.prime_dim_per_e_dim
+        with_kernel_rows += any(r >= split for r in learned)
+        for y, basis in itertools.product(samples, (learned, learned[:-1])):
+            w = parabolic._sample_rank(x, levi, y)[0]
+            system = _basis_system(levi, w, basis)
+            t, ints = parabolic._basis_transpose(
+                parabolic._compile_basis(x, levi, basis), w)
+            assert nonzero_rows(t) == nonzero_rows(zip(*system.rows)), (
+                shape.composition, types, basis)
+            assert ints or y is not samples[0]
+            scanned += not ints
+            assert tuple(_pivot_columns(t, p, ints)) == system.basis_rows()
+            checked += 1
+    assert checked > 0 and with_kernel_rows > 0
+    assert (scanned > 0) == (p == 0)
+
+
+def test_verify_porb_compiles_its_basis_once(monkeypatch):
+    import tworb.parabolic as parabolic
+
+    compiled = []
+    real = parabolic._compile_basis
+    monkeypatch.setattr(
+        parabolic, "_compile_basis",
+        lambda x, levi, basis: compiled.append(basis) or real(x, levi, basis))
+    report = verify_porb(standard_parabolic((2, 1)), zero_types((2, 1)), RAT,
+                         trials=20, seed=1)
+    assert report.ok and report.certified_trials == 20
+    assert len(compiled) == 1
+
+
+def test_each_basis_is_compiled_once_per_case(monkeypatch):
+    # over F_4 bases fail and are replaced, so a case can use several; each
+    # is compiled on its first use in the case and never again
+    import tworb.parabolic as parabolic
+
+    compiled, used, case = [], set(), None
+    real_compile, real_rank = parabolic._compile_basis, parabolic._sample_rank
+
+    def spy_rank(x, levi, y, basis=None):
+        if basis is not None:
+            used.add((case, basis))
+        return real_rank(x, levi, y, basis)
+
+    monkeypatch.setattr(
+        parabolic, "_compile_basis",
+        lambda x, levi, basis: compiled.append(1) or real_compile(x, levi,
+                                                                  basis))
+    monkeypatch.setattr(parabolic, "_sample_rank", spy_rank)
+    for case, (shape, types) in enumerate(_levi_cases(4)):
+        verify_porb(shape, types, F4, trials=20, seed=case)
+    assert len(compiled) == len(used)
+    assert len(used) > case + 1  # some case replaced a failing basis
+
+
+def test_induce_compiles_nothing_when_its_first_sample_certifies(
+        monkeypatch):
+    import tworb.parabolic as parabolic
+
+    compiled = []
+    real = parabolic._compile_basis
+    monkeypatch.setattr(
+        parabolic, "_compile_basis",
+        lambda x, levi, basis: compiled.append(basis) or real(x, levi, basis))
+    report = induce_orbit_report(standard_parabolic((2, 1)),
+                                 zero_types((2, 1)), RAT, seed=1)
+    assert report.trials_used == 1 and compiled == []
 
 
 # -- induction ----------------------------------------------------------------
