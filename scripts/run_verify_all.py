@@ -24,12 +24,16 @@ CONFIGS = {
 
 
 # runs beyond one per suite: census at q = 3 per the acceptance, and porb
-# at n <= 5 over Q(sqrt 2) and over F_3
+# at n <= 5 over Q(sqrt 2), over F_3 and over Q(sqrt 1/2), whose rank
+# systems hold Fractions (an integral --tau never puts one there)
 EXTRA = [
     ("census q=3", "census", RunConfig(n=2, q=3)),
     ("porb n<=5", "porb", RunConfig(n_max=5, trials=20, seed=1)),
     ("porb F_3 n<=5", "porb", RunConfig(
         field={"kind": "finite", "p": 3, "e": 1}, n_max=5, trials=20,
+        seed=1)),
+    ("porb tau=1/2 n<=5", "porb", RunConfig(
+        field={"kind": "rational", "tau": "1/2"}, n_max=5, trials=20,
         seed=1)),
 ]
 
@@ -42,7 +46,7 @@ def main() -> int:
         started = time.perf_counter()
         code, report = cmd_verify(suite, cfg)
         status = "PASS" if code == 0 else "FAIL"
-        print(f"{status}  {label:14s}  {report['passed']:4d} passed  "
+        print(f"{status}  {label:17s}  {report['passed']:4d} passed  "
               f"{report['failed']:2d} failed  "
               f"[{time.perf_counter() - started:6.1f}s]")
         failures += report["failed"]

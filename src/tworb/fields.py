@@ -190,6 +190,10 @@ def _find_irreducible(degree: int, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _mixed_models(a, b) -> FieldModelError:
+    return FieldModelError(f"mixed field models: {a!r} and {b!r}")
+
+
 class ExtElement:
     """An element of E.  Immutable; arithmetic is delegated to its model.
 
@@ -210,8 +214,7 @@ class ExtElement:
     def _coerce(self, other):
         if isinstance(other, ExtElement):
             if other.model is not self.model and other.model != self.model:
-                raise FieldModelError(
-                    f"mixed field models: {self.model!r} and {other.model!r}")
+                raise _mixed_models(self.model, other.model)
             return other
         if isinstance(other, int):
             return self.model.from_int(other)
@@ -483,10 +486,14 @@ class RationalModel(QuadraticExtensionModel):
     def sigma(self, x: RationalElement) -> RationalElement:
         """a - b*sqrt(tau).  An x with b = 0 is fixed and is returned as it
         is when it belongs to this model object; one of an equal model is
-        copied, so that the result belongs to this one."""
+        copied, so that the result belongs to this one, and one of another
+        model raises FieldModelError."""
         a, b = x.payload
-        if not b and x.model is self:
-            return x
+        if x.model is self:
+            if not b:
+                return x
+        elif x.model != self:
+            raise _mixed_models(self, x.model)
         r = _new(RationalElement)
         r.model = self
         r.payload = (a, -b)
@@ -583,6 +590,8 @@ class FiniteModel(QuadraticExtensionModel):
         return str(list(x))
 
     def sigma(self, x: ExtElement) -> ExtElement:
+        if x.model is not self and x.model != self:
+            raise _mixed_models(self, x.model)
         out = [0] * self.degree
         p = self.p
         for i, ci in enumerate(x.payload):

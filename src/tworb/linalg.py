@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .fields import ExtElement, QuadraticExtensionModel
 
@@ -281,9 +280,10 @@ def _rank(rows: list[list], reduce=None, ncols=None) -> list[int]:
     nonzero entry in the pivot column change: each becomes
     piv * row - f * pivot_row on the columns right of the pivot, passed
     through ``reduce`` when one is given.  No inverse is taken, and
-    entries left of the pivot column are never read again.  Pivots are
-    sought in the first ``ncols`` columns only (all by default); any
-    columns after them are carried along by the same row operations.
+    entries left of the pivot column are never read again.  A row that
+    is never updated keeps its entries as given.  Pivots are sought in
+    the first ``ncols`` columns only (all by default); any columns after
+    them are carried along by the same row operations.
     """
     nrows = len(rows)
     if ncols is None:
@@ -310,68 +310,54 @@ def _rank(rows: list[list], reduce=None, ncols=None) -> list[int]:
     return pivots
 
 
-def _content_free(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
+def _primitive(row: list) -> list[int]:
+    """The primitive integer row on the ray of a row over Q: its
+    denominators cleared, when it holds a Fraction, and its gcd content
+    divided out.  Both multipliers are positive, and a zero row comes
+    back as zeros.  An all-int row costs one gcd, with no type test:
+    math.gcd raises TypeError on a Fraction."""
+    try:
+        g = math.gcd(*row)
+    except TypeError:
+        mult = math.lcm(*(x.denominator for x in row))
+        row = [int(x * mult) for x in row]
+        g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _rank_int(rows: list[list[int]]) -> list[int]:
-    """Pivot columns over Q of an integer matrix, consuming ``rows``:
-    fraction-free elimination that divides each updated row by the gcd of
-    its entries, which divides every entry exactly and keeps them small."""
-    return _rank(rows, _content_free)
-
-
-def _mod(p: int):
-    def mod_p(row):
-        return [x % p for x in row]
-
-    return mod_p
-
-
-def _rank_modp(rows: list[list[int]], p: int) -> list[int]:
-    mod_p = _mod(p)
-    return _rank([mod_p(r) for r in rows], mod_p)
-
-
-def _scale_rows_to_int(rows) -> list[list[int]]:
-    """Clear each row's denominators, unless every entry is already an int.
-
-    The types are gathered in one scan of the whole system, so a system
-    of ints passes through as is; otherwise every row is scaled, which
-    also turns integral Fractions into ints.
-    """
-    if set(map(type, chain.from_iterable(rows))) == {int}:
-        return rows
-    out = []
-    for r in rows:
-        mult = math.lcm(*(x.denominator for x in r))
-        out.append([int(x * mult) for x in r])
-    return out
-
-
-def _pivot_columns(rows: list[list], p: int, ints: bool = False) -> list[int]:
+def _pivot_columns(rows: list[list], p: int, ncols=None) -> list[int]:
     """Pivot columns over Q (p = 0) or F_p of a matrix over the prime
-    field, consuming ``rows``: over Q a matrix of ints goes to
-    fraction-free elimination as it is, and any other has every row
-    scaled to ints first.  ``ints`` says the caller knows every entry is
-    an int, which skips looking."""
+    field, by _rank, consuming ``rows``.
+
+    Over Q the rows enter as they are, ints or Fractions, and each
+    updated row is made _primitive, so the entries stay small and are
+    ints from its first update on.  Over F_p every row is reduced mod p
+    first, and each updated row again.  ``ncols`` is _rank's.
+    """
     if p:
-        return _rank_modp(rows, p)
-    return _rank_int(rows if ints else _scale_rows_to_int(rows))
+        def reduce(row):
+            return [x % p for x in row]
+
+        rows[:] = map(reduce, rows)
+    else:
+        reduce = _primitive
+    return _rank(rows, reduce, ncols)
 
 
 def _left_kernel(rows: list[list], p: int) -> tuple[int, list[list[int]]]:
     """Rank of a matrix over Q (p = 0) or F_p, and a basis of the
     coefficient vectors c with sum_i c_i * rows[i] = 0.
 
-    One _rank pass over [rows | I] that seeks pivots among the columns of
-    ``rows`` only.  Each step is an invertible row operation, so every row
-    stays the combination, given by its identity part, of the rows of
-    [rows | I]; the rows from the rank on are zero left of the identity
-    part, so their identity parts are rows - rank independent kernel
-    vectors.  Over Q a row with Fractions is scaled to ints with its
-    identity part, so the coefficients still refer to ``rows`` as given.
+    One _pivot_columns pass over [rows | I] that seeks pivots among the
+    columns of ``rows`` only.  Each step is an invertible row operation,
+    so every row stays the combination, given by its identity part, of
+    the rows of [rows | I]; the rows from the rank on are zero left of
+    the identity part, so their identity parts are rows - rank
+    independent kernel vectors.  Each of those rows was updated at least
+    once, or its nonzero entry would have pivoted, unless it is a zero
+    row of ``rows``, whose identity part stays its unit vector.  So over
+    Q every kernel vector is already a primitive integer vector, with no
+    Fraction left to clear.
     """
     ncols = len(rows[0]) if rows else 0
     aug = []
@@ -379,13 +365,7 @@ def _left_kernel(rows: list[list], p: int) -> tuple[int, list[list[int]]]:
         unit = [0] * len(rows)
         unit[i] = 1
         aug.append([*r, *unit])
-    if p:
-        reduce = _mod(p)
-        aug = [reduce(r) for r in aug]
-    else:
-        reduce = _content_free
-        aug = _scale_rows_to_int(aug)
-    rank = len(_rank(aug, reduce, ncols))
+    rank = len(_pivot_columns(aug, p, ncols))
     return rank, [r[ncols:] for r in aug[rank:]]
 
 

@@ -165,7 +165,13 @@ def test_integral_fraction_equals_int():
 def test_mixed_models_raise():
     rat3 = make_extension({"kind": "rational", "tau": 3})
     f16 = make_extension({"kind": "finite", "p": 2, "e": 2})
-    for x, y in [(RAT.one, rat3.one), (gen(F4), gen(F9)), (F4.one, f16.one)]:
+    for x, y in [(RAT.one, rat3.one), (RAT.gen, rat3.gen),
+                 (gen(F4), gen(F9)), (F4.one, f16.one)]:
+        # sigma reads the payload of its own model only, in both directions
+        with pytest.raises(FieldModelError):
+            x.model.sigma(y)
+        with pytest.raises(FieldModelError):
+            y.model.sigma(x)
         with pytest.raises(FieldModelError):
             x + y
         with pytest.raises(FieldModelError):
@@ -181,8 +187,11 @@ def test_equal_models_from_separate_calls_combine():
     assert rat2 is not RAT and rat2 == RAT
     assert RAT.one + rat2.gen == RAT.el(1, 1)
     assert rat2.gen * RAT.gen == rat2.from_int(2)
+    assert RAT.sigma(rat2.gen) == -RAT.gen
+    assert RAT.sigma(rat2.one).model is RAT
     f9 = make_extension({"kind": "finite", "p": 3, "e": 1})
     assert gen(F9) * gen(f9) == gen(f9) * gen(F9)
+    assert F9.sigma(gen(f9)) == f9.sigma(gen(F9))
     # the kind is decided once: one class per model, one shared base
     assert type(RAT) is RationalModel and type(F9) is FiniteModel
     assert all(isinstance(m, QuadraticExtensionModel) for m in (RAT, F9))

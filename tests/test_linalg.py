@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import sys
 import threading
@@ -16,10 +17,10 @@ from oracles import (SingularMatrix, alternating_product, flatten_map,
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
-from tworb.linalg import (NotNilpotent, TwistedEndo, _rank_int, bracket_system,
-                          is_nilpotent, mat_eq, mat_from_rows, mat_identity,
-                          mat_mul, mat_rank, mat_sigma, reduce_row,
-                          row_echelon, twisted_power)
+from tworb.linalg import (NotNilpotent, TwistedEndo, _pivot_columns,
+                          _primitive, bracket_system, is_nilpotent, mat_eq,
+                          mat_from_rows, mat_identity, mat_mul, mat_rank,
+                          mat_sigma, reduce_row, row_echelon, twisted_power)
 from tworb.orbits import (JordanType, enumerate_orbits, jordan_type_of,
                           standard_representative)
 from tworb.parabolic import standard_parabolic
@@ -564,7 +565,7 @@ def test_bareiss_rank_matches_fraction_gauss(seed):
     if rng.random() < 0.5 and nr > 1:  # force rank deficiency sometimes
         k = rng.randrange(1, nr)
         rows[k] = [2 * x for x in rows[0]]
-    assert _rank_int([r[:] for r in rows]) == \
+    assert _pivot_columns([r[:] for r in rows], 0) == \
         _pivots_fraction_gauss(rows)
 
 
@@ -596,28 +597,44 @@ def int_matrices(draw):
 @example([[2, 4, 1], [0, 0, 3], [1, 2, 5], [3, 6, 0]])
 @settings(max_examples=200, deadline=None)
 def test_bareiss_rank_matches_fraction_gauss_on_drawn_matrices(rows):
-    assert _rank_int([r[:] for r in rows]) == \
+    assert _pivot_columns([r[:] for r in rows], 0) == \
         _pivots_fraction_gauss(rows)
 
 
-def test_integral_fraction_rows_reach_bareiss_as_ints(monkeypatch):
-    # x * x.inverse() leaves payloads such as Fraction(1, 1); rows of them
-    # must be converted, not passed through because their lcm is 1
-    import tworb.linalg as linalg
-
-    seen = []
-    real = linalg._rank_int
-
-    def spy(rows):
-        seen.extend(x for r in rows for x in r)
-        return real(rows)
-
-    monkeypatch.setattr(linalg, "_rank_int", spy)
-    ints = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
-    fracs = [[Fraction(x) for x in r] for r in ints]
-    assert from_prime_rows(fracs, char=0).rank_F() == 2
-    assert seen and all(type(x) is int for x in seen)
+def test_integral_fraction_rows_reach_bareiss_as_ints():
+    # x * x.inverse() leaves payloads such as Fraction(1, 1); rows of them,
+    # like rows of non-integral Fractions, enter the elimination as they
+    # are, and every row it updates, so every kernel vector, is ints
+    ints = [[1, 2, 3], [2, 4, 6], [0, 1, 5], [1, 3, 8]]
+    for scale in (1, Fraction(1), Fraction(2, 3)):
+        fracs = [[Fraction(x) * scale for x in r] for r in ints]
+        system = from_prime_rows(fracs, char=0)
+        assert system.rank_F() == 2 and system.basis_rows() == (0, 2)
+        rank, kernel = system.rank_and_kernel()
+        assert rank == 2 and len(kernel) == 2
+        for vec in kernel:
+            assert all(type(c) is int for _, c in vec)
+            assert not any(sum(c * fracs[i][j] for i, c in vec)
+                           for j in range(3))
     assert from_prime_rows(ints, char=0).rank_F() == 2
+
+
+@pytest.mark.parametrize("row", [
+    [4, -6, 10], [-3, 0, 9], [0, 0, -7], [1, -1],
+    [Fraction(2), Fraction(-4)], [Fraction(1), 3, Fraction(0)],
+    [Fraction(1, 2), Fraction(-3, 4), 5], [Fraction(-2, 3), Fraction(4, 9)],
+    [0, 0, 0], [Fraction(0), Fraction(0)], []])
+def test_primitive_row_is_the_int_row_on_the_same_ray(row):
+    got = _primitive(list(row))
+    assert len(got) == len(row) and all(type(x) is int for x in got)
+    if not any(row):
+        assert got == [0] * len(row)
+        return
+    # one positive multiplier takes row to got, and got has content 1
+    k = next(j for j, x in enumerate(row) if x)
+    mult = Fraction(got[k]) / Fraction(row[k])
+    assert mult > 0 and all(g == mult * x for g, x in zip(got, row))
+    assert math.gcd(*got) == 1
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -906,7 +923,8 @@ def sparse_int_matrices(draw):
 @example([[0, 6, 0], [0, 4, 2], [0, 0, 0], [0, 2, 1]])
 @settings(max_examples=300, deadline=None)
 def test_rank_int_matches_fraction_gauss_on_sparse_matrices(rows):
-    assert _rank_int([r[:] for r in rows]) == _pivots_fraction_gauss(rows)
+    assert _pivot_columns([r[:] for r in rows], 0) == \
+        _pivots_fraction_gauss(rows)
 
 
 def _rank_mod_p_gauss(rows, p):
@@ -1008,9 +1026,9 @@ def test_kept_basis_leaves_equality_hash_and_replace_alone(monkeypatch):
     import tworb.linalg as linalg
 
     eliminations = []
-    real = linalg._rank_int
-    monkeypatch.setattr(linalg, "_rank_int",
-                        lambda rows: eliminations.append(1) or real(rows))
+    real = linalg._rank
+    monkeypatch.setattr(linalg, "_rank",
+                        lambda *a: eliminations.append(1) or real(*a))
     system = from_prime_rows([[1, 2], [2, 4], [0, 1]], char=0)
     fresh = from_prime_rows([[1, 2], [2, 4], [0, 1]], char=0)
     assert system.rank_F() == 2 and system.basis_rows() == (0, 2)

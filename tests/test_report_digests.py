@@ -5,10 +5,11 @@ at a fixed configuration and compares the SHA-256 of the report's
 canonical JSON (the bytes ``tworb --format json`` prints) with
 ``report_digests.json``.  The configurations are the acceptance ones of
 ``scripts/run_verify_all.py``, plus ``census`` at q=3, ``porb`` over F_2,
-F_3 and F_16 and over Q(sqrt 3), ``uX`` and ``centralizer`` over F_16
-(e = 2), three ``induce`` runs (over Q(sqrt 2), over F_3, and one over
-F_2 that ends in a GenericityFailure), the ``orbits`` catalog at n = 6
-and n = 8, and ``scaling`` at n <= 10.  A change that alters any report,
+F_3 and F_16 and over Q(sqrt 3) and Q(sqrt 1/2), ``uX`` and
+``centralizer`` over F_16 (e = 2), three ``induce`` runs (over
+Q(sqrt 2), over F_3, and one over F_2 that ends in a
+GenericityFailure), the ``orbits`` catalog at n = 6 and n = 8, and
+``scaling`` at n <= 10.  A change that alters any report,
 even a field nobody checks, fails here; re-record only when a report is
 meant to change:
 
@@ -56,6 +57,10 @@ CASES = {
         field=F_16, q=4, n_max=4, trials=20, seed=1)),
     "porb tau=3": partial(cmd_verify, "porb", RunConfig(
         field={"kind": "rational", "tau": 3}, n_max=5, trials=20, seed=1)),
+    # a non-integral radicand: the rank systems hold Fractions
+    "porb tau=1/2": partial(cmd_verify, "porb", RunConfig(
+        field={"kind": "rational", "tau": "1/2"}, n_max=4, trials=20,
+        seed=1)),
     "uX F_16": partial(cmd_verify, "uX", RunConfig(field=F_16, q=4, n_max=5)),
     "centralizer F_16": partial(cmd_verify, "centralizer", RunConfig(
         field=F_16, q=4, n_max=5)),
