@@ -344,6 +344,15 @@ def _emit(report: dict, fmt: str, out) -> None:
             out.write(f"{k}: {json.dumps(report[k])}\n")
 
 
+def _tau(text: str) -> int | str:
+    """--tau as an int when it is one, else the string as given, which
+    make_extension reads as a rational (such as 1/2) and validates."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tworb",
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--field", choices=["rational", "finite"],
                        default="rational")
-        p.add_argument("--tau", type=int, default=2)
+        p.add_argument("--tau", type=_tau, default=2)
         p.add_argument("--q", type=int, default=2)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv", "pretty"],

@@ -13,7 +13,10 @@ product Y * sigma(I), because the benchmark's tracer pins the products
 and element operations of a twisted power.  Over Q(sqrt(tau)) those
 operations are cheap: sigma returns its fixed entries, a product with
 0 or 1 and a sum with 0 return an operand (see fields.RationalElement),
-so P_1 builds no element at all.
+so P_1 builds no element at all.  The powers are memoized on the map and
+end at the first zero one; is_nilpotent scans that zero power once, and
+orbits.jordan_type_of ranks only the nonzero powers before it, read
+through _nonzero_powers.
 
 All F-linear questions (centralizers, brackets, ranks) are answered by
 flattening E-coordinates over the prime field: over Q(sqrt(tau)) in the
@@ -25,6 +28,7 @@ by e; FLinearSystem owns that single conversion point.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 from .fields import ExtElement, QuadraticExtensionModel
@@ -111,12 +115,16 @@ def mat_is_zero(a: Matrix) -> bool:
 
 
 def mat_rank(a: Matrix) -> int:
-    """Rank over E, by division-free elimination (see _rank).
+    """Rank over E, by division-free elimination (see _rank) of the
+    nonzero rows of ``a``.
 
     Over the domain Z[sqrt(tau)] the entries stay ints, and its rank
-    equals the rank over the fraction field E.
+    equals the rank over the fraction field E.  All-zero rows, such as
+    the bottom rows of a power of a strictly upper triangular map, are
+    dropped first: they never pivot, and without them the elimination
+    stops as soon as every row holds a pivot.
     """
-    return len(_rank([list(r) for r in a]))
+    return len(_rank([list(r) for r in a if any(r)]))
 
 
 def row_echelon(rows) -> Matrix:
@@ -178,7 +186,8 @@ def reduce_row(basis: Matrix, row) -> list:
 class TwistedEndo:
     """The sigma-linear map v -> Y * sigma(v) on E^n.
 
-    ``_powers`` holds the twisted powers P_0, P_1, ... made so far and
+    ``_powers`` holds the twisted powers P_0, P_1, ... made so far (read
+    them through twisted_power, or _nonzero_powers after is_nilpotent) and
     ``_sigma_mat`` is sigma(Y) once a power needs it (see twisted_power);
     neither takes part in ==, hash or dataclasses.replace.
     """
@@ -198,6 +207,9 @@ class TwistedEndo:
         return cls(model, len(m), m)
 
 
+_PUBLISH = threading.Lock()  # serializes twisted_power's memo updates
+
+
 def twisted_power(y: TwistedEndo, k: int) -> Matrix:
     """Matrix of the k-th power: the alternating product with k factors.
 
@@ -215,13 +227,17 @@ def twisted_power(y: TwistedEndo, k: int) -> Matrix:
 
     The powers are memoized on ``y``: a call makes only the products no
     earlier call made, and none past the first zero power, which every
-    later power equals.  Each longer tuple is published whole, so callers
-    sharing ``y`` can at worst make a product twice.
+    later power equals.  So every memoized power but the last is
+    nonzero, and a memo that stops short of P_k after this call ends at
+    a zero power, which the loop has scanned (is_nilpotent relies on
+    both).  The powers a call made are published as one longer tuple,
+    under a lock and only if the memo is still shorter, so the memo never
+    shrinks, and callers sharing ``y`` can at worst make a product twice.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     model = y.model
-    powers = y._powers or (mat_identity(model, y.n),)
+    powers = known = y._powers or (mat_identity(model, y.n),)
     while len(powers) <= k and not mat_is_zero(powers[-1]):
         if len(powers) == 1:
             new = mat_mul(y.mat, mat_sigma(model, powers[0]))
@@ -232,8 +248,22 @@ def twisted_power(y: TwistedEndo, k: int) -> Matrix:
                 object.__setattr__(y, "_sigma_mat", mat_sigma(model, y.mat))
             new = mat_mul(powers[-1], y._sigma_mat)
         powers += (new,)
-        object.__setattr__(y, "_powers", powers)
+    if len(powers) > len(known):
+        with _PUBLISH:
+            if len(powers) > len(y._powers):
+                object.__setattr__(y, "_powers", powers)
     return powers[min(k, len(powers) - 1)]
+
+
+def _nonzero_powers(y: TwistedEndo) -> tuple:
+    """P_1, ..., P_(r-1): the twisted powers of ``y`` that is_nilpotent(y)
+    made, less P_r, the first zero one.
+
+    Read only after is_nilpotent(y) has held: its twisted_power(y, n)
+    left the memo ending at P_r, and no later call can shrink or extend
+    it.
+    """
+    return y._powers[1:-1]
 
 
 def is_nilpotent(y: TwistedEndo) -> bool:
@@ -251,6 +281,11 @@ def is_nilpotent(y: TwistedEndo) -> bool:
     proves Y is not nilpotent, and only a zero one goes on to the powers.
     tr N is fixed by sigma, so it lies in F, and a random map is rejected
     here with probability about 1 - 1/q.
+
+    The final power is scanned once.  twisted_power(y, n) makes no power
+    past a zero one and scans each power it extends from, so a memo that
+    stops short of P_n ends at a zero power it has already seen; only a
+    P_n that it made or found is scanned here.
     """
     mat, n, sigma = y.mat, y.n, y.model.sigma
     terms = []
@@ -263,7 +298,8 @@ def is_nilpotent(y: TwistedEndo) -> bool:
                 terms += (a * sigma(b), b * sigma(a))
     if terms and sum(terms[1:], terms[0]):
         return False
-    return mat_is_zero(twisted_power(y, n))
+    p = twisted_power(y, n)
+    return len(y._powers) <= n or mat_is_zero(p)
 
 
 # ---------------------------------------------------------------------------

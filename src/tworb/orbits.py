@@ -15,8 +15,9 @@ from functools import lru_cache
 from math import comb
 
 from .fields import QuadraticExtensionModel
-from .linalg import (NotNilpotent, TwistedEndo, bracket_system, is_nilpotent,
-                     mat_eq, mat_mul, mat_rank, mat_sigma, twisted_power)
+from .linalg import (NotNilpotent, TwistedEndo, _nonzero_powers,
+                     bracket_system, is_nilpotent, mat_eq, mat_mul, mat_rank,
+                     mat_sigma)
 
 
 class BudgetExceeded(ValueError):
@@ -97,6 +98,7 @@ def standard_representative(t: JordanType,
     Level i (of size m_i = d_i + ... + d_r) collects the basis vectors
     killed by exactly i applications; the matrix carries level i onto
     level i-1 by an identity block sitting on top of d_{i-1} zero rows.
+    Every entry is the one model.zero or the one model.one read here.
     """
     n = t.n
     if n < 1:
@@ -105,11 +107,12 @@ def standard_representative(t: JordanType,
     offsets = [0]
     for s in sizes[:-1]:
         offsets.append(offsets[-1] + s)
-    rows = [[0] * n for _ in range(n)]
+    zero, one = model.zero, model.one
+    rows = [[zero] * n for _ in range(n)]
     for i in range(1, len(sizes)):  # level i+1 (1-based i+1) -> level i
         for c in range(sizes[i]):
-            rows[offsets[i - 1] + c][offsets[i] + c] = 1
-    return TwistedEndo.from_rows(model, rows)
+            rows[offsets[i - 1] + c][offsets[i] + c] = one
+    return TwistedEndo(model, n, tuple(map(tuple, rows)))
 
 
 def jordan_type_of(y: TwistedEndo) -> JordanType:
@@ -117,14 +120,14 @@ def jordan_type_of(y: TwistedEndo) -> JordanType:
 
     The number of blocks of size >= k is rank(P_{k-1}) - rank(P_k).  The
     powers are the ones is_nilpotent made, memoized on ``y``, so a map of
-    type lambda costs lambda_1 products in all.
+    type lambda costs lambda_1 products in all.  Only the nonzero powers
+    P_1, ..., P_(lambda_1 - 1) are ranked, lambda_1 - 1 eliminations:
+    P_0 = I has rank n, and the first zero power, P_(lambda_1), rank 0.
     """
     if not is_nilpotent(y):
         raise NotNilpotent("twisted power of order n does not vanish")
     n = y.n
-    ranks = [n]
-    while ranks[-1] > 0:
-        ranks.append(mat_rank(twisted_power(y, len(ranks))))
+    ranks = [n, *map(mat_rank, _nonzero_powers(y)), 0]
     geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
     for size in range(len(geq), 0, -1):

@@ -342,7 +342,10 @@ def _sample_rank(x: TwistedEndo, levi: _LeviBlock, y: TwistedEndo,
 
     X is zero on n (_levi_block checked it lies in m) and Y is zero off
     n, so W is X with Y's entries written over its n positions, with no
-    E-addition.  By the block-triangular identity of the module
+    E-addition.  With n empty (a one-block composition) W is X itself,
+    so the twisted powers memoized on X serve every sample of the case;
+    otherwise W is a new TwistedEndo, and no sample's powers reach X's
+    memo.  By the block-triangular identity of the module
     docstring, which needs exactly those supports, dim_F [p, W] =
     rank L_0 + rank(L : ker L_0 + n -> n).  The bracket of W is flattened
     from the case's domain, n and then m, onto n; the rows of the second
@@ -369,10 +372,13 @@ def _sample_rank(x: TwistedEndo, levi: _LeviBlock, y: TwistedEndo,
     """
     model, n = x.model, x.n
     n_pos = levi.n_positions
-    overlay = [list(r) for r in x.mat]
-    for i, j in n_pos:
-        overlay[i][j] = y.mat[i][j]
-    w = TwistedEndo(model, n, tuple(map(tuple, overlay)))
+    if n_pos:
+        overlay = [list(r) for r in x.mat]
+        for i, j in n_pos:
+            overlay[i][j] = y.mat[i][j]
+        w = TwistedEndo(model, n, tuple(map(tuple, overlay)))
+    else:
+        w = x
     split = len(n_pos) * model.prime_dim_per_e_dim
     if basis is not None:
         compiled = levi.compiled.get(basis)
@@ -446,9 +452,8 @@ def blockwise_representative(shape: ParabolicShape, m_types,
         if t.n != size:
             raise ShapeMismatch(f"type {t} does not partition block of {size}")
         rep = standard_representative(t, model)
-        for a in range(size):
-            for b in range(size):
-                rows[off + a][off + b] = rep.mat[a][b]
+        for a, row in enumerate(rep.mat):
+            rows[off + a][off:off + size] = row
         off += size
     return TwistedEndo(model, n, tuple(tuple(r) for r in rows))
 

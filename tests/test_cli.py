@@ -173,6 +173,37 @@ def test_square_tau_exits_2(capsys):
     assert captured.err == "configuration error: tau=4 is a square in Q\n"
 
 
+def test_a_rational_tau_reproduces_its_pinned_report(capsys):
+    # the bytes of the pinned porb tau=1/2 report, made through RunConfig
+    import hashlib
+    from pathlib import Path
+
+    code, out = run_cli(capsys, "verify", "porb", "--tau", "1/2",
+                        "--n-max", "4", "--trials", "20", "--seed", "1")
+    assert code == 0
+    golden = json.loads((Path(__file__).resolve().parent
+                         / "report_digests.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["porb tau=1/2"]
+    assert json.loads(out)["config"]["field"] == {"kind": "rational",
+                                                  "tau": "1/2"}
+    # an integral tau stays an int, so the config bytes of --tau 2 stay
+    code, out = run_cli(capsys, "verify", "porb", "--tau", "2",
+                        "--n-max", "1")
+    assert json.loads(out)["config"]["field"] == {"kind": "rational",
+                                                  "tau": 2}
+
+
+@pytest.mark.parametrize("tau, error", [
+    ("abc", "'abc'"),  # Fraction's own message, which names the text
+    ("1/4", "tau=1/4 is a square in Q")], ids=["not-rational", "square"])
+def test_a_tau_that_names_no_field_exits_2(capsys, tau, error):
+    assert main(["verify", "porb", "--n-max", "1", "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert error in captured.err and captured.err.count("\n") == 1
+
+
 FIELD_FREE_ARGV = [
     ["orbits", "--n", "1"],
     ["verify", "identity", "--n-max", "1"],

@@ -253,6 +253,38 @@ def test_threads_sharing_a_map_read_only_true_powers():
     assert wrong == []
 
 
+def test_a_stale_low_power_never_shrinks_the_memo(monkeypatch):
+    # a caller that read the empty memo publishes P_1 only after a
+    # classification's is_nilpotent has filled the memo to P_r: the memo
+    # must keep P_r, or jordan_type_of would rank too few powers
+    import tworb.linalg as linalg
+    import tworb.orbits as orbits
+
+    y = standard_representative(JordanType((3, 1)), RAT)
+    started, resume = threading.Event(), threading.Event()
+    real_mul, real_nilpotent = linalg.mat_mul, orbits.is_nilpotent
+    stale = threading.Thread(target=twisted_power, args=(y, 1))
+
+    def mat_mul(a, b):
+        if threading.current_thread() is stale:
+            started.set()
+            resume.wait(timeout=60)
+        return real_mul(a, b)
+
+    def is_nilpotent(z):
+        held = real_nilpotent(z)
+        resume.set()
+        stale.join(timeout=60)
+        return held
+
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    monkeypatch.setattr(orbits, "is_nilpotent", is_nilpotent)
+    stale.start()
+    assert started.wait(timeout=60)
+    assert jordan_type_of(y) == JordanType((3, 1))
+    assert not stale.is_alive() and len(y._powers) == 4
+
+
 @pytest.fixture
 def products(monkeypatch):
     """The mat_mul calls made, counted through linalg's own name."""

@@ -11,8 +11,9 @@ from tworb.fields import make_extension
 from tworb.linalg import NotNilpotent, TwistedEndo, mat_rank
 from tworb.orbits import (BudgetExceeded, JordanType, centralizer_dim_oracle,
                           check_dimHY, enumerate_orbits, gl_order,
-                          jordan_type_of, orbit_census, orbit_dimension,
-                          stabilizer_order, standard_representative)
+                          jordan_type_of, level_sizes, orbit_census,
+                          orbit_dimension, stabilizer_order,
+                          standard_representative)
 
 RAT = make_extension({"kind": "rational", "tau": 2})
 F4 = make_extension({"kind": "finite", "p": 2, "e": 1})
@@ -80,6 +81,25 @@ def test_standard_representative_matrices():
     assert ones == [(0, 2)]
 
 
+@pytest.mark.parametrize("model", [RAT, F9], ids=["Q(sqrt2)", "F9"])
+def test_standard_representative_equals_its_from_rows_matrix(model):
+    # the shifted identity blocks, built as ints by level offsets and read
+    # through from_rows, against the representative entry for entry
+    for n in range(1, 8):
+        for t in enumerate_orbits(n):
+            sizes = level_sizes(t)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(1, len(sizes)):
+                for c in range(sizes[i]):
+                    rows[sum(sizes[:i - 1]) + c][sum(sizes[:i]) + c] = 1
+            want = TwistedEndo.from_rows(model, rows)
+            got = standard_representative(t, model)
+            assert got == want and got.model is model
+            assert all(x == w and x.model is model
+                       for row, wrow in zip(got.mat, want.mat)
+                       for x, w in zip(row, wrow))
+
+
 def test_jordan_type_of_examples():
     zero = TwistedEndo.from_rows(RAT, [[0] * 3 for _ in range(3)])
     assert jordan_type_of(zero) == T(1, 1, 1)
@@ -89,6 +109,38 @@ def test_jordan_type_of_examples():
               [0, 0, RAT.el(0, 3)],
               [0, 0, 0]])
     assert jordan_type_of(generic) == T(3)
+
+
+@pytest.mark.parametrize("model", [RAT, F9], ids=["Q(sqrt2)", "F9"])
+def test_jordan_type_ranks_only_the_nonzero_powers(monkeypatch, model):
+    # P_0 = I has rank n and the first zero power rank 0, so a map of type
+    # lambda takes lambda_1 - 1 eliminations, none of them of a zero matrix:
+    # on the representative and on a sigma-conjugate with dense powers
+    import tworb.orbits as orbits
+
+    ranked = []
+    real = orbits.mat_rank
+    monkeypatch.setattr(orbits, "mat_rank",
+                        lambda a: ranked.append(a) or real(a))
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for t in enumerate_orbits(n):
+            rep = standard_representative(t, model)
+            while True:
+                h = tuple(tuple(
+                    model.el(rng.randint(-5, 5), rng.randint(-5, 5))
+                    if model.kind == "rational" else model.random_element(rng)
+                    for _ in range(n)) for _ in range(n))
+                try:
+                    conj = sigma_conjugate(h, rep)
+                    break
+                except SingularMatrix:
+                    continue
+            for y in (rep, conj):
+                ranked.clear()
+                assert jordan_type_of(y) == t
+                assert len(ranked) == t.r - 1, t
+                assert all(any(map(any, a)) for a in ranked), t
 
 
 def test_jordan_type_requires_nilpotent():

@@ -696,6 +696,51 @@ def test_verify_porb_draws_trials_samples_and_ranks_the_levi_once(
     assert len(levi_ranks) == 1
 
 
+@pytest.mark.parametrize("model", [RAT, F9], ids=["Q(sqrt2)", "F9"])
+def test_a_one_block_case_multiplies_out_x_once(monkeypatch, model):
+    # s_N is empty, so every sample is X, and X's memoized powers P_1, P_2
+    # serve all 20 classifications: 2 products, not 40
+    import tworb.linalg as linalg
+
+    products = []
+    real = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul",
+                        lambda a, b: products.append(1) or real(a, b))
+    report = verify_porb(standard_parabolic((3,)), [T(2, 1)], model,
+                         trials=20, seed=1)
+    assert report.ok and report.certified_trials == 20
+    assert report.induced_type == T(2, 1)
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("model", [RAT, F9], ids=["Q(sqrt2)", "F9"])
+def test_only_an_empty_s_n_shares_x_as_the_sample(model):
+    # with n nonempty each W is a new map, and classifying the certified
+    # ones leaves X's memo untouched; with n empty W is X itself
+    from tworb.orbits import jordan_type_of
+    from tworb.parabolic import _ranked_samples
+
+    for comp, types, shared in [((2, 1), [T(2), T(1)], False),
+                                ((1, 2, 1), zero_types((1, 2, 1)), False),
+                                ((3,), [T(2, 1)], True)]:
+        shape = standard_parabolic(comp)
+        x = blockwise_representative(shape, types, model)
+        levi = _levi_block(shape, x)
+        samples, classified = [], 0
+        for w, rank in _ranked_samples(shape, x, levi, 5, 20):
+            if rank == levi.expected:
+                assert jordan_type_of(w) == induced_row_sum(types)
+                classified += 1
+            samples.append(w)
+        assert len(samples) == 20 and classified > 10
+        if shared:
+            assert all(w is x for w in samples)
+            assert x._powers
+        else:
+            assert len({id(w) for w in samples} | {id(x)}) == 21
+            assert x._powers == () and x._sigma_mat is None
+
+
 def test_verify_porb_checks_the_orbit_dimension_once_per_type(monkeypatch):
     # once per Levi type for the induced dimension, then once per type seen;
     # tangent_dim_checks still counts the certified trials one by one
