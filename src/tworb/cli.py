@@ -13,6 +13,7 @@ import os
 import sys
 import zlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .fields import FieldModelError, _prime_factors, make_extension
 from .orbits import (JordanType, check_dimHY, centralizer_dim_oracle,
@@ -345,12 +346,15 @@ def _emit(report: dict, fmt: str, out) -> None:
 
 
 def _tau(text: str) -> int | str:
-    """--tau as an int when it is one, else the string as given, which
-    make_extension reads as a rational (such as 1/2) and validates."""
+    """--tau as one value per rational: an int when it is integral, else
+    its lowest terms as a string (such as 1/2), so 2, 4/2 and 2.0 give the
+    same report.  Text that names no rational is kept as given, for
+    make_extension to reject."""
     try:
-        return int(text)
-    except ValueError:
+        tau = Fraction(text)
+    except (ValueError, ZeroDivisionError):
         return text
+    return tau.numerator if tau.denominator == 1 else str(tau)
 
 
 def build_parser() -> argparse.ArgumentParser:

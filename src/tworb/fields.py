@@ -636,7 +636,11 @@ def make_extension(spec) -> QuadraticExtensionModel:
         raise FieldModelError(f"bad field descriptor: {spec!r}")
     kind = spec["kind"]
     if kind == "rational":
-        tau = _rat(str(spec.get("tau", 2)))
+        try:
+            tau = _rat(str(spec.get("tau", 2)))
+        except ZeroDivisionError as exc:
+            raise FieldModelError(f"tau={spec['tau']} has denominator 0"
+                                  ) from exc
         if _fraction_is_square(tau):
             raise RadicandIsSquare(f"tau={tau} is a square in Q")
         return RationalModel(tau)

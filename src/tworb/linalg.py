@@ -276,7 +276,9 @@ def is_nilpotent(y: TwistedEndo) -> bool:
 
     Before any power, the trace of N = Y sigma(Y) is tested:
     sum_i Y_ii sigma(Y_ii) + sum_(i<j) (Y_ij sigma(Y_ji) + Y_ji sigma(Y_ij)),
-    skipping every pair with a zero entry.  N is E-linear and N^k = P_2k,
+    skipping every pair with a zero entry; the lower entry Y_ji is tested
+    first, so a strictly upper triangular map, such as every induction
+    sample, costs one zero test per pair.  N is E-linear and N^k = P_2k,
     so a nilpotent Y has a nilpotent N, whose trace is 0: a nonzero trace
     proves Y is not nilpotent, and only a zero one goes on to the powers.
     tr N is fixed by sigma, so it lies in F, and a random map is rejected
@@ -293,9 +295,11 @@ def is_nilpotent(y: TwistedEndo) -> bool:
         if row[i]:
             terms.append(row[i] * sigma(row[i]))
         for j in range(i + 1, n):
-            a, b = row[j], mat[j][i]
-            if a and b:
-                terms += (a * sigma(b), b * sigma(a))
+            b = mat[j][i]  # zero in every strictly upper triangular map
+            if b:
+                a = row[j]
+                if a:
+                    terms += (a * sigma(b), b * sigma(a))
     if terms and sum(terms[1:], terms[0]):
         return False
     p = twisted_power(y, n)

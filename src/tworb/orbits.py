@@ -91,27 +91,39 @@ def level_sizes(t: JordanType) -> list[int]:
     return [sum(d[j] for j in range(i, t.r + 1)) for i in range(1, t.r + 1)]
 
 
-def standard_representative(t: JordanType,
-                            model: QuadraticExtensionModel) -> TwistedEndo:
-    """The block matrix with shifted identity blocks, one level per power.
+@lru_cache(maxsize=None)
+def _chain_ones(t: JordanType) -> tuple:
+    """The (row, column) positions of the ones of the standard
+    representative of t, made once per type; every other entry is zero.
 
     Level i (of size m_i = d_i + ... + d_r) collects the basis vectors
-    killed by exactly i applications; the matrix carries level i onto
-    level i-1 by an identity block sitting on top of d_{i-1} zero rows.
-    Every entry is the one model.zero or the one model.one read here.
+    killed by exactly i applications, and chain c has its level-i vector
+    at index m_1 + ... + m_(i-1) + c.  The map carries level i + 1 onto
+    level i along the chains: a one at (level-i index of chain c,
+    level-(i+1) index of chain c), for each chain c that reaches level
+    i + 1.  That is an identity block on top of d_i zero rows.
+    """
+    sizes = level_sizes(t)
+    ones, off = [], 0
+    for below, above in zip(sizes, sizes[1:]):
+        ones += [(off + c, off + below + c) for c in range(above)]
+        off += below
+    return tuple(ones)
+
+
+def standard_representative(t: JordanType,
+                            model: QuadraticExtensionModel) -> TwistedEndo:
+    """The block matrix with shifted identity blocks, one level per power,
+    with its ones at _chain_ones(t).  Every entry is the one
+    model.zero or the one model.one read here.
     """
     n = t.n
     if n < 1:
         raise ValueError("standard_representative needs n >= 1")
-    sizes = level_sizes(t)
-    offsets = [0]
-    for s in sizes[:-1]:
-        offsets.append(offsets[-1] + s)
     zero, one = model.zero, model.one
     rows = [[zero] * n for _ in range(n)]
-    for i in range(1, len(sizes)):  # level i+1 (1-based i+1) -> level i
-        for c in range(sizes[i]):
-            rows[offsets[i - 1] + c][offsets[i] + c] = one
+    for a, b in _chain_ones(t):
+        rows[a][b] = one
     return TwistedEndo(model, n, tuple(map(tuple, rows)))
 
 

@@ -20,8 +20,10 @@ lowers the degree, and its degree-0 part is L_0 = [., X] on m.  Hence
     rank L = rank L_0 + rank(L : ker L_0 + n -> n),
 
 and rank L = dim_F [m, X] + dim_F s_N holds iff the second map is onto
-n.  L_0 depends on X only, so it is eliminated once per case, for its
-rank and a kernel basis; each sample ranks only the second map.
+n.  L_0 depends on X only, and X is block diagonal, so L_0 is too: its
+rank and a kernel basis are assembled once per case from those of its
+diagonal blocks, each made once per model and block content.  Each
+sample ranks only the second map.
 
 The second map's rows are those of n and the kernel combinations of the
 rows of m.  The n positions are taken farthest from the diagonal first.
@@ -61,8 +63,8 @@ from typing import NamedTuple
 from .fields import QuadraticExtensionModel, RationalElement
 from .linalg import (FLinearSystem, TwistedEndo, _pivot_columns,
                      bracket_system, reduce_row, row_echelon)
-from .orbits import (JordanType, jordan_type_of, orbit_dimension,
-                     standard_representative)
+from .orbits import (JordanType, _chain_ones, jordan_type_of,
+                     orbit_dimension, standard_representative)
 
 SAMPLING_BOUND = 101  # rational pool {1..B} * (1, sqrt(tau)); Schwartz-Zippel
 
@@ -181,7 +183,8 @@ class _LeviBlock(NamedTuple):
 
     ``kernel`` is a prime-field basis of ker L_0, each vector a tuple of
     (row, coefficient) pairs over the rows of bracket_system(., m), with
-    the m positions in sorted order.  ``n_positions`` are the n positions
+    the m positions in sorted order; _levi_block assembles it from the
+    diagonal blocks of X.  ``n_positions`` are the n positions
     by distance from the diagonal, farthest first (ties in row-major
     order), not sorted: the bracket of each with a strictly upper
     triangular W lies only at positions before it, so the n rows of a
@@ -200,21 +203,66 @@ class _LeviBlock(NamedTuple):
     compiled: dict
 
 
-def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
-    """Eliminate the Levi system of X in m once: its rank and kernel.
+# (model, payloads of an s x s block B) -> rank_F and kernel of [., B];
+# models compare by their parameters, and the kernel's coefficients lie
+# in the prime field, so equal models share an entry
+_BLOCK_SYSTEMS: dict = {}
 
-    X is support-checked to lie in m, so [m, X] lies in m, and the system
-    is flattened onto the m positions only, with the rank unchanged.
+
+def _block_rank_and_kernel(model: QuadraticExtensionModel,
+                           block: tuple) -> tuple[int, tuple]:
+    """rank_F and a kernel basis of [., B] on gl_s for the s x s matrix
+    B, from bracket_system over every position in row-major order, made
+    once per model and content of B."""
+    key = model, tuple(tuple(v.payload for v in row) for row in block)
+    hit = _BLOCK_SYSTEMS.get(key)
+    if hit is None:
+        s = len(block)
+        every = list(itertools.product(range(s), repeat=2))
+        rank, kernel = bracket_system(TwistedEndo(model, s, block), every,
+                                      every).rank_and_kernel()
+        hit = _BLOCK_SYSTEMS[key] = rank, tuple(kernel)
+    return hit
+
+
+def _levi_block(shape: ParabolicShape, x: TwistedEndo) -> _LeviBlock:
+    """The Levi system of X in m, its rank and kernel assembled from the
+    diagonal blocks of X.
+
+    X is support-checked to lie in m, the diagonal blocks of the
+    composition, so [m, X] lies in m, and the system is flattened onto
+    the m positions only, with the rank unchanged.  For Z and X block
+    diagonal, ZX - X sigma(Z) is block diagonal, and each block's
+    positions are contiguous among the sorted m positions, so the system
+    is block diagonal with one block per diagonal block B_i of X: that of
+    [., B_i] on gl_(s_i).  Its rank is the sum of theirs, and its kernel
+    the union of theirs, each row index shifted by the s_j^2 *
+    prime_dim_per_e_dim rows of every block j before i.  Each block's
+    rank and kernel come from _block_rank_and_kernel, keyed by content,
+    so they hold for any X in m, not only a representative.
     """
-    for a, b in itertools.product(range(x.n), repeat=2):
-        if x.mat[a][b] and (a, b) not in shape.m_mask:
-            raise SupportViolation(
-                f"X has a nonzero entry at {(a, b)} outside its mask")
-    m = sorted(shape.m_mask)
+    model, mat = x.model, x.mat
+    per = model.prime_dim_per_e_dim
+    rank, kernel, off, first_row = 0, [], 0, 0
+    for size in shape.composition:
+        end = off + size
+        for a in range(off, end):
+            row = mat[a]
+            if any(row[:off]) or any(row[end:]):
+                b = next(b for b, v in enumerate(row)
+                         if v and not off <= b < end)
+                raise SupportViolation(
+                    f"X has a nonzero entry at {(a, b)} outside its mask")
+        block_rank, block_kernel = _block_rank_and_kernel(
+            model, tuple(row[off:end] for row in mat[off:end]))
+        rank += block_rank
+        kernel += [tuple((r + first_row, c) for r, c in vec)
+                   for vec in block_kernel]
+        off, first_row = end, first_row + size * size * per
     n_positions = sorted(shape.n_mask, key=lambda ab: (ab[0] - ab[1], ab))
-    rank, kernel = bracket_system(x, m, m).rank_and_kernel()
     return _LeviBlock(rank, rank + shape.dim_F_sN, tuple(kernel),
-                      n_positions, [*n_positions, *m], {})
+                      n_positions, [*n_positions, *_row_major(shape.m_mask)],
+                      {})
 
 
 def _combine(vec, rows) -> list:
@@ -441,21 +489,24 @@ def _ranked_samples(shape: ParabolicShape, x: TwistedEndo,
 
 def blockwise_representative(shape: ParabolicShape, m_types,
                              model: QuadraticExtensionModel) -> TwistedEndo:
+    """X in m: the standard representative of each Levi type on its
+    diagonal block, its ones (orbits._chain_ones) written straight into
+    one n x n grid.  Every entry is the one model.zero or the one
+    model.one read here."""
     m_types = list(m_types)
     if len(m_types) != len(shape.composition):
         raise ShapeMismatch("one Jordan type per composition block")
     n = shape.n
-    z = model.zero
-    rows = [[z] * n for _ in range(n)]
+    zero, one = model.zero, model.one
+    rows = [[zero] * n for _ in range(n)]
     off = 0
     for size, t in zip(shape.composition, m_types):
         if t.n != size:
             raise ShapeMismatch(f"type {t} does not partition block of {size}")
-        rep = standard_representative(t, model)
-        for a, row in enumerate(rep.mat):
-            rows[off + a][off:off + size] = row
+        for a, b in _chain_ones(t):
+            rows[off + a][off + b] = one
         off += size
-    return TwistedEndo(model, n, tuple(tuple(r) for r in rows))
+    return TwistedEndo(model, n, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -539,7 +590,9 @@ def verify_porb(shape: ParabolicShape, m_types,
 
     with each dimension read off the Jordan type by orbit_dimension, once
     per distinct type, so the count of passing checks is independent of
-    the rank certificate.
+    the rank certificate.  Each distinct certified sample is classified
+    by jordan_type_of; with s_N empty every sample is X itself, classified
+    once for the case.
     The report is ok only if that type is also induced_row_sum(m_types)."""
     m_types = tuple(m_types)
     x = blockwise_representative(shape, m_types, model)
@@ -548,13 +601,15 @@ def verify_porb(shape: ParabolicShape, m_types,
     induced_dim = (sum(orbit_dimension(t).dim_orbit_F for t in m_types)
                    + 2 * shape.dim_F_sN)
     has_induced_dim = {}
+    # with s_N empty every sample is X itself: classify it once
+    x_type = None if levi.n_positions else jordan_type_of(x)
     samples = _ranked_samples(shape, x, levi, seed, trials)
     for trial, (w, rank) in enumerate(samples):
         if rank != levi.expected:
             report.rejected_trials.append(trial)
             continue
         report.certified_trials += 1
-        t = jordan_type_of(w)
+        t = jordan_type_of(w) if x_type is None else x_type
         if t not in has_induced_dim:
             has_induced_dim[t] = orbit_dimension(t).dim_orbit_F == induced_dim
             report.types_seen.append(t)

@@ -193,9 +193,36 @@ def test_a_rational_tau_reproduces_its_pinned_report(capsys):
                                                   "tau": 2}
 
 
+def test_each_spelling_of_a_tau_gives_one_report(capsys):
+    # --tau names a rational, and the report names it one way: an int
+    # when integral, else its lowest terms, which keeps the pinned bytes
+    import hashlib
+    from pathlib import Path
+
+    reports = set()
+    for tau in ("2", "4/2", "2.0"):
+        code, out = run_cli(capsys, "verify", "porb", "--n-max", "1",
+                            "--tau", tau)
+        assert code == 0
+        assert json.loads(out)["config"]["field"] == {"kind": "rational",
+                                                      "tau": 2}
+        reports.add(out)
+    assert len(reports) == 1
+    golden = json.loads((Path(__file__).resolve().parent
+                         / "report_digests.json").read_text())
+    for tau in ("1/2", "2/4", "0.5"):
+        code, out = run_cli(capsys, "verify", "porb", "--tau", tau,
+                            "--n-max", "4", "--trials", "20", "--seed", "1")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == golden["porb tau=1/2"], tau
+
+
 @pytest.mark.parametrize("tau, error", [
     ("abc", "'abc'"),  # Fraction's own message, which names the text
-    ("1/4", "tau=1/4 is a square in Q")], ids=["not-rational", "square"])
+    ("1/4", "tau=1/4 is a square in Q"),
+    ("1/0", "tau=1/0 has denominator 0")],
+    ids=["not-rational", "square", "zero-denominator"])
 def test_a_tau_that_names_no_field_exits_2(capsys, tau, error):
     assert main(["verify", "porb", "--n-max", "1", "--tau", tau]) == 2
     captured = capsys.readouterr()

@@ -339,6 +339,130 @@ def _levi_cases(n_max):
                 yield shape, types
 
 
+def _random_block_diagonal(shape, model, rng):
+    """X in m with random entries on its diagonal blocks, a zero among
+    them now and then: no standard representative."""
+    def entry():
+        if model.kind == "rational":
+            return model.el(rng.randint(-3, 3), rng.randint(-3, 3))
+        return model.random_element(rng)
+
+    rows = [[model.zero] * shape.n for _ in range(shape.n)]
+    for a, b in shape.m_mask:
+        rows[a][b] = entry()
+    return TwistedEndo(model, shape.n, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("model", [RAT, F9, F4], ids=["Q(sqrt2)", "F9", "F4"])
+def test_the_levi_block_is_assembled_from_its_diagonal_blocks(model):
+    # against the Levi system flattened over the whole of m: the same rank,
+    # and rows - rank independent kernel vectors, each combining the m rows
+    # to zero; for every Levi type with n <= 5 and for random blocks
+    rng = random.Random(5)
+    cases = [(shape, blockwise_representative(shape, types, model))
+             for shape, types in _levi_cases(5)]
+    cases += [(shape, _random_block_diagonal(shape, model, rng))
+              for n in range(1, 6) for comp in _all_compositions(n)
+              for shape in [standard_parabolic(comp)] for _ in range(2)]
+    p = model.char
+    for shape, x in cases:
+        levi = _levi_block(shape, x)
+        m = sorted(shape.m_mask)
+        whole = bracket_system(x, m, m)
+        rows = whole.rows
+        assert levi.rank_F == whole.rank_and_kernel()[0]
+        assert len(levi.kernel) == (len(rows)
+                                    - levi.rank_F * model.subfield_degree)
+        vectors = []
+        for vec in levi.kernel:
+            combined = [0] * len(rows[0])
+            for r, c in vec:
+                combined = [s + c * v for s, v in zip(combined, rows[r])]
+            assert not any(v % p if p else v for v in combined), vec
+            vectors.append([dict(vec).get(r, 0) for r in range(len(rows))])
+        assert len(_pivot_columns(vectors, p)) == len(levi.kernel)
+
+
+def test_a_levi_block_is_ranked_once_per_model(monkeypatch):
+    # one block, payload for payload, over three models and a second copy
+    # of one of them: each distinct model ranks it once, and gets the rank
+    # and kernel of its own whole-m flattening
+    import tworb.parabolic as parabolic
+
+    monkeypatch.setattr(parabolic, "_BLOCK_SYSTEMS", {})
+    systems = []
+    real = parabolic.bracket_system
+    monkeypatch.setattr(parabolic, "bracket_system",
+                        lambda *args: systems.append(args) or real(*args))
+    payloads = (((0, 1), (1, 0)), ((0, 0), (0, 1)))
+    shape = standard_parabolic((2,))
+    m = sorted(shape.m_mask)
+    kernels = []
+    for spec, calls in [({"kind": "rational", "tau": 2}, 1),
+                        ({"kind": "rational", "tau": 2}, 0),
+                        ({"kind": "rational", "tau": 3}, 1),
+                        ({"kind": "finite", "p": 3, "e": 1}, 1)]:
+        model = make_extension(spec)
+
+        def el(a, b):
+            if model.kind == "rational":
+                return model.el(a, b)
+            return model.element_from_index(a + model.p * b)
+
+        x = TwistedEndo(model, 2, tuple(tuple(el(*v) for v in row)
+                                        for row in payloads))
+        systems.clear()
+        levi = parabolic._levi_block(shape, x)
+        assert parabolic._levi_block(shape, x) == levi
+        assert len(systems) == calls, spec
+        assert (levi.rank_F, list(levi.kernel)) == \
+            real(x, m, m).rank_and_kernel()
+        kernels.append(levi.kernel)
+    assert kernels[0] != kernels[2]  # tau enters the kernel coefficients
+
+
+@pytest.mark.parametrize("model", [RAT, F9], ids=["Q(sqrt2)", "F9"])
+def test_blockwise_representative_equals_its_standard_blocks(model):
+    # the ones written straight into the grid, against the construction
+    # that copies each block's standard representative row by row
+    for shape, types in _levi_cases(5):
+        n = shape.n
+        want = [[model.zero] * n for _ in range(n)]
+        off = 0
+        for size, t in zip(shape.composition, types):
+            for a, row in enumerate(standard_representative(t, model).mat):
+                want[off + a][off:off + size] = row
+            off += size
+        got = blockwise_representative(shape, types, model)
+        assert got.n == n and got.model is model
+        assert all(g == w and g.model is model
+                   for grow, wrow in zip(got.mat, want)
+                   for g, w in zip(grow, wrow)), (shape.composition, types)
+
+
+@pytest.mark.parametrize("model", [RAT, F4], ids=["Q(sqrt2)", "F4"])
+def test_verify_porb_classifies_a_shared_x_once(monkeypatch, model):
+    # with s_N empty every sample is X, classified once for the case; with
+    # s_N nonempty every certified sample is a map of its own, classified
+    import tworb.parabolic as parabolic
+
+    classified = []
+    real = parabolic.jordan_type_of
+    monkeypatch.setattr(parabolic, "jordan_type_of",
+                        lambda w: classified.append(w) or real(w))
+    report = verify_porb(standard_parabolic((3,)), [T(2, 1)], model,
+                         trials=20, seed=1)
+    assert report.ok and report.certified_trials == 20
+    assert report.tangent_dim_checks == 20
+    assert len(classified) == 1
+    classified.clear()
+    report = verify_porb(standard_parabolic((2, 1)), [T(2), T(1)], model,
+                         trials=20, seed=1)
+    assert report.ok
+    assert len(classified) == report.certified_trials > 0
+    assert len({id(w) for w in classified}) == len(classified)
+
+
 @pytest.mark.parametrize("model", [RAT, F4])
 def test_the_n_part_of_the_certificate_is_strictly_triangular(model):
     # every W = X + Y is strictly upper triangular, so the bracket of E_ab
