@@ -61,12 +61,8 @@ def mat_from_rows(model: QuadraticExtensionModel, rows) -> Matrix:
 
 
 def mat_identity(model, n: int) -> Matrix:
-    """The n x n identity, built once per model object and size.
-
-    It is kept on the model object itself, not keyed by model equality,
-    so its entries belong to that object, as the same-model fast path of
-    RationalElement arithmetic expects.
-    """
+    """The n x n identity, built once per model and size and kept on the
+    model."""
     ident = model._identities.get(n)
     if ident is None:
         z, o = model.zero, model.one
@@ -127,57 +123,6 @@ def mat_rank(a: Matrix) -> int:
     return len(_rank([list(r) for r in a if any(r)]))
 
 
-def row_echelon(rows) -> Matrix:
-    """Reduced row-echelon form over E of the span of ``rows``.
-
-    Its rows are the nonzero ones left by Gauss-Jordan elimination: each
-    has leading entry one, and every other row is zero in that column.
-    The form depends on the span only, so it is the span's hashable key.
-    A pivot row is zero left of its pivot column, so each step touches
-    only the columns from the pivot on; a pivot that is already one, as
-    in an echelon basis passed back in, is neither inverted nor scaled.
-    """
-    work = [list(r) for r in rows]
-    rank = 0
-    one = None
-    for col in range(len(work[0]) if work else 0):
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                break
-        else:
-            continue
-        work[rank], work[i] = work[i], work[rank]
-        tail = work[rank][col:]
-        if one is None:
-            one = tail[0].model.one
-        if tail[0] != one:
-            inv = tail[0].inverse()
-            tail = [x * inv for x in tail]
-            work[rank][col:] = tail
-        for k, row in enumerate(work):
-            f = row[col]
-            if f and k != rank:
-                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
-        rank += 1
-    return tuple(tuple(r) for r in work[:rank])
-
-
-def reduce_row(basis: Matrix, row) -> list:
-    """``row`` less its part in the span of ``basis``, a row_echelon form.
-
-    Each basis row is subtracted at its leading column, where the others
-    are zero, so one pass suffices: the result is zero exactly when
-    ``row`` lies in the span.
-    """
-    cur = list(row)
-    for b in basis:
-        lead = next(j for j, x in enumerate(b) if x)
-        f = cur[lead]
-        if f:
-            cur[lead:] = [x - f * y for x, y in zip(cur[lead:], b[lead:])]
-    return cur
-
-
 # ---------------------------------------------------------------------------
 # twisted endomorphisms
 
@@ -187,17 +132,14 @@ class TwistedEndo:
     """The sigma-linear map v -> Y * sigma(v) on E^n.
 
     ``_powers`` holds the twisted powers P_0, P_1, ... made so far (read
-    them through twisted_power, or _nonzero_powers after is_nilpotent) and
-    ``_sigma_mat`` is sigma(Y) once a power needs it (see twisted_power);
-    neither takes part in ==, hash or dataclasses.replace.
+    them through twisted_power, or _nonzero_powers after is_nilpotent); it
+    takes no part in ==, hash or dataclasses.replace.
     """
 
     model: QuadraticExtensionModel
     n: int
     mat: Matrix
     _powers: tuple = field(default=(), init=False, repr=False, compare=False)
-    _sigma_mat: Matrix | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     @classmethod
     def from_rows(cls, model, rows) -> "TwistedEndo":
@@ -215,7 +157,7 @@ def twisted_power(y: TwistedEndo, k: int) -> Matrix:
 
     P_1 = Y * sigma(I), and P_(k+1) = P_k * sigma^k(Y) for k >= 1, as
     Y^k(Y sigma(v)) = P_k sigma^k(Y) sigma^(k+1)(v): the factor is Y for
-    even k and sigma(Y), made once per ``y``, for odd k.  By
+    even k and sigma(Y), made at most once per call, for odd k.  By
     associativity these are the alternating products.
 
     P_1 stays a product rather than Y itself, because the benchmark's
@@ -238,15 +180,16 @@ def twisted_power(y: TwistedEndo, k: int) -> Matrix:
         raise ValueError("k must be >= 0")
     model = y.model
     powers = known = y._powers or (mat_identity(model, y.n),)
+    sigma_y = None
     while len(powers) <= k and not mat_is_zero(powers[-1]):
         if len(powers) == 1:
             new = mat_mul(y.mat, mat_sigma(model, powers[0]))
         elif len(powers) % 2:
             new = mat_mul(powers[-1], y.mat)
         else:
-            if y._sigma_mat is None:
-                object.__setattr__(y, "_sigma_mat", mat_sigma(model, y.mat))
-            new = mat_mul(powers[-1], y._sigma_mat)
+            if sigma_y is None:
+                sigma_y = mat_sigma(model, y.mat)
+            new = mat_mul(powers[-1], sigma_y)
         powers += (new,)
     if len(powers) > len(known):
         with _PUBLISH:

@@ -9,7 +9,6 @@ E-dimension; the doubling happens here, in one place per formula).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -229,12 +228,10 @@ def _iter_matrices(model, n: int, indices):
 
 
 def orbit_census(n: int, model: QuadraticExtensionModel, *,
-                 budget: int = 10**7, sample_size: int | None = None,
-                 seed: int = 0) -> dict[JordanType, int]:
+                 budget: int = 10**7) -> dict[JordanType, int]:
     """Bucket twisted nilpotents in gl_n(E) by Jordan type.
 
-    Exhaustive when the matrix count fits the budget; otherwise a seeded
-    sample of ``sample_size`` matrices must be requested explicitly.
+    Exhaustive; BudgetExceeded if the matrix count exceeds the budget.
     Each matrix is classified by one jordan_type_of call, which raises
     NotNilpotent unless twisted_power(Y, n) = 0.  Most matrices are not
     nilpotent, and is_nilpotent rejects about 1 - 1/q of them by the
@@ -245,17 +242,9 @@ def orbit_census(n: int, model: QuadraticExtensionModel, *,
     if model.kind != "finite":
         raise ValueError("census needs the finite model")
     total = matrix_space_size(model, n)
-    card = model.element_count()
-    if total <= budget:
-        space = itertools.product(range(card), repeat=n * n)
-    elif sample_size is None:
-        raise BudgetExceeded(
-            f"{total} matrices exceed budget {budget}; pass sample_size "
-            "for seeded sampling")
-    else:
-        rng = random.Random(seed)
-        space = ([rng.randrange(card) for _ in range(n * n)]
-                 for _ in range(sample_size))
+    if total > budget:
+        raise BudgetExceeded(f"{total} matrices exceed budget {budget}")
+    space = itertools.product(range(model.element_count()), repeat=n * n)
     counts: dict[JordanType, int] = {}
     for y in _iter_matrices(model, n, space):
         try:

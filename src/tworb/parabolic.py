@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 from .fields import QuadraticExtensionModel, RationalElement
 from .linalg import (FLinearSystem, TwistedEndo, _pivot_columns,
-                     bracket_system, reduce_row, row_echelon)
+                     bracket_system, mat_rank)
 from .orbits import (JordanType, _chain_ones, jordan_type_of,
                      orbit_dimension, standard_representative)
 
@@ -203,9 +203,7 @@ class _LeviBlock(NamedTuple):
     compiled: dict
 
 
-# (model, payloads of an s x s block B) -> rank_F and kernel of [., B];
-# models compare by their parameters, and the kernel's coefficients lie
-# in the prime field, so equal models share an entry
+# (model, payloads of an s x s block B) -> rank_F and kernel of [., B]
 _BLOCK_SYSTEMS: dict = {}
 
 
@@ -629,12 +627,18 @@ def flag_fixed_count(y: TwistedEndo) -> int:
 
     Exhaustive enumeration; needs the finite model and small n.  This is
     the point-count oracle behind the Springer-dimension formula and the
-    stable-flag reading of the fixed-flag condition.  A step V' over V,
-    with V in row_echelon form, holds a line of vectors zero at V's pivot
-    columns, and exactly one of them has a leading one: the vector r
-    enumerated per free column ``lead``, so each step is named once.
+    stable-flag reading of the fixed-flag condition.  A flag is built up
+    one vector r per step.  V is spanned by the rows chosen so far, and
+    its pivot columns are their leading ones, each row zero at the pivots
+    chosen before it; so V has exactly one vector with any given entries
+    at its pivots, and the vectors zero there form a complement of V.  A
+    step V' over V holds a line of that complement, and exactly one of
+    its vectors has a leading one: the vector r enumerated per free
+    column ``lead``, zero at the pivots and at the free columns before
+    ``lead``, so each step is named once and adds the pivot ``lead``.
     V' = V + <r> over a stable V is stable iff it contains Y sigma(r),
-    since the map is sigma-semilinear.
+    since the map is sigma-semilinear: iff the rows, r and Y sigma(r)
+    have rank len(rows) + 1, one mat_rank call per step.
     """
     model, n = y.model, y.n
     if model.kind != "finite":
@@ -646,11 +650,10 @@ def flag_fixed_count(y: TwistedEndo) -> int:
         return [sum((y.mat[i][j] * sv[j] for j in range(1, n)),
                     start=y.mat[i][0] * sv[0]) for i in range(n)]
 
-    def count_from(rows):
-        """Stable flags through the stable span with echelon form rows."""
+    def count_from(rows, pivots):
+        """Stable flags through the stable span of rows, with pivots."""
         if len(rows) == n - 1:
             return 1
-        pivots = {next(j for j, x in enumerate(b) if x) for b in rows}
         free = [j for j in range(n) if j not in pivots]
         total = 0
         for k, lead in enumerate(free):
@@ -659,12 +662,12 @@ def flag_fixed_count(y: TwistedEndo) -> int:
                 r[lead] = model.one
                 for j, x in zip(free[k + 1:], tail):
                     r[j] = x
-                key = row_echelon(rows + (r,))
-                if not any(reduce_row(key, apply_x(r))):
-                    total += count_from(key)
+                step = rows + (r,)
+                if mat_rank(step + (apply_x(r),)) == len(step):
+                    total += count_from(step, pivots | {lead})
         return total
 
-    return count_from(())
+    return count_from((), frozenset())
 
 
 def induced_row_sum(m_types) -> JordanType:

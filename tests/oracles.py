@@ -16,7 +16,10 @@ faster way, kept here as an oracle for it:
   left with it, with no memo, against ``linalg.twisted_power``.
 * ``twisted_bracket`` is Z*Y - Y*sigma(Z) by matrix products, the map
   ``bracket_system`` flattens in closed form; ``sigma_conjugate`` is the
-  twisted action h * Y * sigma(h)^-1, by ``mat_inv``.
+  twisted action h * Y * sigma(h)^-1, by ``mat_inv``, a plain
+  Gauss-Jordan elimination on [A | I] kept here as the reference
+  inverse: ``tworb`` only ranks, by division-free elimination, and never
+  inverts a matrix.
 * ``split_type_of`` classifies Y without twisted powers: N = Y sigma(Y)
   is E-linear, and a twisted part j of Y becomes the ordinary parts
   ceil(j/2) and floor(j/2) of N; see ``split_parts``.
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from tworb.fields import ExtElement, QuadraticExtensionModel
 from tworb.linalg import (FLinearSystem, Matrix, TwistedEndo, mat_identity,
-                          mat_mul, mat_rank, mat_sigma, row_echelon)
+                          mat_mul, mat_rank, mat_sigma)
 from tworb.orbits import JordanType
 from tworb.parabolic import AdaptedParabolic
 
@@ -36,17 +39,29 @@ class SingularMatrix(ValueError):
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Inverse over E: the row_echelon form of [A | I] is [I | A^-1].
+    """Inverse over E, by plain Gauss-Jordan elimination on [A | I].
 
-    [A | I] has rank n, so its form has n rows; A is singular exactly
-    when the last of them has its leading one right of column n - 1.
+    Column by column, a row with a nonzero entry there is scaled to a
+    leading one and cleared from every other row; A is singular exactly
+    when some column has no such row, and otherwise [A | I] ends as
+    [I | A^-1].
     """
     n = len(a)
-    form = row_echelon([[*row, *idrow] for row, idrow in
-                        zip(a, mat_identity(a[0][0].model, n))])
-    if not form[-1][n - 1]:
-        raise SingularMatrix("matrix over E is singular")
-    return tuple(row[n:] for row in form)
+    work = [[*row, *idrow]
+            for row, idrow in zip(a, mat_identity(a[0][0].model, n))]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if work[i][col]), None)
+        if piv is None:
+            raise SingularMatrix("matrix over E is singular")
+        inv = work[piv][col].inverse()
+        lead = [x * inv for x in work[piv]]
+        work[piv] = work[col]
+        work[col] = lead
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != col and f:
+                work[i] = [x - f * y for x, y in zip(row, lead)]
+    return tuple(tuple(row[n:]) for row in work)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

@@ -162,8 +162,7 @@ def test_census_over_budget_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("configuration error: 6561 matrices exceed "
-                            "budget 10; pass sample_size for seeded "
-                            "sampling\n")
+                            "budget 10\n")
 
 
 def test_square_tau_exits_2(capsys):

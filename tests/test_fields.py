@@ -1,5 +1,7 @@
 """Field model construction, the involution, and norms."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -183,20 +185,34 @@ def test_mixed_models_raise():
 
 
 def test_equal_models_from_separate_calls_combine():
-    rat2 = make_extension({"kind": "rational", "tau": 2})
-    assert rat2 is not RAT and rat2 == RAT
+    # one model object per field: descriptors naming the same field,
+    # tau read as a rational and e defaulting to 1, return that object
+    for tau in (2, "2", "4/2", "2.0", Fraction(2)):
+        assert make_extension({"kind": "rational", "tau": tau}) is RAT
+    assert make_extension({"kind": "rational"}) is RAT
+    assert make_extension({"kind": "finite", "p": 3}) is F9
+    assert make_extension({"kind": "finite", "p": "3", "e": 1}) is F9
+    rat2 = make_extension({"kind": "rational", "tau": "4/2"})
     assert RAT.one + rat2.gen == RAT.el(1, 1)
-    assert rat2.gen * RAT.gen == rat2.from_int(2)
     assert RAT.sigma(rat2.gen) == -RAT.gen
-    assert RAT.sigma(rat2.one).model is RAT
-    f9 = make_extension({"kind": "finite", "p": 3, "e": 1})
-    assert gen(F9) * gen(f9) == gen(f9) * gen(F9)
-    assert F9.sigma(gen(f9)) == f9.sigma(gen(F9))
+    # so models compare and hash by identity, with no key of their own
+    rat3 = make_extension({"kind": "rational", "tau": 3})
+    assert len({RAT, rat2, rat3, F9, F4}) == 4
+    assert RAT != rat3 and RAT != F9 and F4 != F9
+    for cls in (QuadraticExtensionModel, RationalModel, FiniteModel):
+        assert not {"_key", "__eq__", "__hash__"} & set(vars(cls))
+    # two fields still never mix: in arithmetic, in == and in sigma
+    for other in (rat3, F9):
+        y = gen(other)
+        for mixed in (lambda: RAT.gen + y, lambda: y * RAT.gen,
+                      lambda: RAT.gen - other.one, lambda: RAT.gen == y,
+                      lambda: y == RAT.gen, lambda: RAT.sigma(y),
+                      lambda: other.sigma(RAT.gen)):
+            with pytest.raises(FieldModelError):
+                mixed()
     # the kind is decided once: one class per model, one shared base
     assert type(RAT) is RationalModel and type(F9) is FiniteModel
     assert all(isinstance(m, QuadraticExtensionModel) for m in (RAT, F9))
-    assert hash(rat2) == hash(RAT) and hash(f9) == hash(F9)
-    assert RAT != F9 and F4 != F9
     # reports and TwistedEndo reprs print the model repr
     assert repr(RAT) == "QuadraticExtensionModel(Q(sqrt(2)))"
     assert repr(F9) == "QuadraticExtensionModel(F_9/F_3)"
@@ -329,20 +345,49 @@ def test_trivial_operations_return_an_operand_of_the_same_model():
     assert type(zero + 5) is RationalElement and (zero + 5).payload == (5, 0)
 
 
+def test_threads_naming_one_field_get_one_model():
+    # racing first calls may each build a model, but all of them return
+    # the one stored; no other test names these fields
+    specs = [{"kind": "finite", "p": p}
+             for p in range(103, 200) if all(p % d for d in range(2, 15))]
+    got = [[] for _ in specs]
+    start = threading.Barrier(6, timeout=60)
+
+    def work():
+        start.wait()
+        for i, spec in enumerate(specs):
+            got[i].append(make_extension(spec))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for spec, models in zip(specs, got):
+        assert len(models) == 6
+        assert all(m is make_extension(spec) for m in models), spec
+
+
 def test_trivial_operations_keep_the_model_object():
-    # an equal model from a second call is a different object; returning
-    # its elements would move a result out of RAT
-    other = make_extension({"kind": "rational", "tau": 2})
-    assert other == RAT and other is not RAT
-    z, z0 = other.el(3), other.zero
+    # a second call for the same field returns RAT itself, so its elements
+    # take the same-model path, and a returned operand belongs to RAT
+    other = make_extension({"kind": "rational", "tau": "2.0"})
+    z, z0, x = other.el(3), other.zero, RAT.el(3, 1)
     cases = [
-        (RAT.zero + z, (3, 0)),
-        (RAT.el(3, 1) * z0, (0, 0)),
-        (RAT.sigma(z), (3, 0)),
-        (RAT.el(3, 1) + z0, (3, 1)),
-        (RAT.el(3, 1) * other.one, (3, 1)),
+        (RAT.zero + z, z, (3, 0)),
+        (x * z0, z0, (0, 0)),
+        (RAT.sigma(z), z, (3, 0)),
+        (x + z0, x, (3, 1)),
+        (x * other.one, x, (3, 1)),
     ]
-    for got, want in cases:
+    for got, operand, want in cases:
+        assert got is operand
         assert type(got) is RationalElement and got.model is RAT
         assert got.payload == want
 
@@ -379,7 +424,7 @@ def test_rational_subtraction_protocol():
     assert x - y == x + (-y) == RAT.el(Fraction(-14, 3), Fraction(5, 2))
     assert x - 4 == RAT.el(Fraction(-11, 3), 2)
     assert 4 - x == RAT.el(Fraction(11, 3), -2)
-    # an equal model from a separate call combines, on either side
+    # a separate call for the same field combines, on either side
     rat2 = make_extension({"kind": "rational", "tau": 2})
     z = rat2.el(1, 1)
     assert x - z == RAT.el(Fraction(-2, 3), 1)

@@ -20,7 +20,7 @@ from tworb.fields import make_extension
 from tworb.linalg import (NotNilpotent, TwistedEndo, _pivot_columns,
                           _primitive, bracket_system, is_nilpotent, mat_eq,
                           mat_from_rows, mat_identity, mat_mul, mat_rank,
-                          mat_sigma, reduce_row, row_echelon, twisted_power)
+                          mat_sigma, twisted_power)
 from tworb.orbits import (JordanType, enumerate_orbits, jordan_type_of,
                           standard_representative)
 from tworb.parabolic import standard_parabolic
@@ -301,17 +301,17 @@ def test_cached_powers_leave_equality_hash_and_replace_alone(products):
     y = standard_representative(JordanType((3, 1)), RAT)
     fresh = TwistedEndo(RAT, y.n, y.mat)
     twisted_power(y, 4)
-    assert len(products) == 3 and y._sigma_mat == mat_sigma(RAT, y.mat)
+    assert len(products) == 3 and len(y._powers) == 4
     assert y == fresh and hash(y) == hash(fresh) and repr(y) == repr(fresh)
-    # a copy, equal or not, starts with no powers and no sigma(Y) of its own
+    # a copy, equal or not, starts with no powers of its own
     products.clear()
     copy = dataclasses.replace(y)
-    assert copy._powers == () and copy._sigma_mat is None
+    assert copy._powers == ()
     twisted_power(copy, 2)
     twisted_power(fresh, 2)
     assert len(products) == 4
     other = dataclasses.replace(y, n=2, mat=endo([[1, RAT.gen], [1, 0]]).mat)
-    assert other._sigma_mat is None
+    assert other._powers == ()
     assert twisted_power(other, 3) == alternating_product(other, 3)
 
 
@@ -345,11 +345,12 @@ def test_powers_asked_up_then_down_reuse_the_memo(products, monkeypatch):
     assert len(products) == 3 and len(sigmas) == 2  # sigma(I), sigma(Y)
     for k in range(6):
         assert twisted_power(y, k) == alternating_product(y, k)
-    # P_1 .. P_5, and sigma(Y) made once for every odd step
-    assert len(products) == 5 and len(sigmas) == 2
+    # P_1 .. P_5; sigma(Y) is made once per call that needs it, and only
+    # the call that makes P_4 does
+    assert len(products) == 5 and len(sigmas) == 3
     for k in range(5, -1, -1):
         assert twisted_power(y, k) == alternating_product(y, k)
-    assert len(products) == 5 and len(sigmas) == 2
+    assert len(products) == 5 and len(sigmas) == 3
 
 
 def test_jordan_type_ranks_the_powers_is_nilpotent_made(products):
@@ -545,11 +546,11 @@ def test_bracket_system_matches_generic_flattener():
 
 
 def test_twisted_powers_belong_to_the_endos_own_model_object():
-    # two equal models from separate calls: an identity cache keyed by model
-    # equality would hand the second map P_0 entries of the first model
+    # separate calls naming one field return one model object, whose
+    # identity matrices make P_0
     for spec in ({"kind": "rational", "tau": 2}, {"kind": "finite", "p": 3}):
         models = make_extension(spec), make_extension(spec)
-        assert models[0] == models[1] and models[0] is not models[1]
+        assert models[0] is models[1]
         for model in models:
             y = endo([[0, 1, 2], [0, 0, 1], [0, 0, 0]], model)
             for k in range(5):
@@ -803,9 +804,9 @@ def test_mat_rank_takes_no_inverse(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the reduced row-echelon form: the key of a span, and mat_inv
+# mat_inv, the reference inverse behind sigma_conjugate
 
-ECHELON_MODELS = [RAT, F9, F16]
+INVERSE_MODELS = [RAT, F9, F16]
 
 
 def _units(model):
@@ -817,91 +818,13 @@ def _units(model):
         model.element_from_index)
 
 
-def _assert_reduced_echelon(form):
-    leads = [next(j for j, x in enumerate(r) if x) for r in form]
-    assert leads == sorted(set(leads))
-    for k, (lead, row) in enumerate(zip(leads, form)):
-        assert row[lead] == row[lead].model.one
-        assert not any(other[lead] for i, other in enumerate(form) if i != k)
-
-
-@st.composite
-def regenerated_spans(draw):
-    """Generators of a span over Q(sqrt 2), F_9 or F_16, and the same
-    span's generators shuffled, each scaled by a unit, plus one more
-    E-combination of them."""
-    model = draw(st.sampled_from(ECHELON_MODELS))
-    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    rows = draw(e_matrices(model, nrows, ncols))
-    el = _elements(model)
-    order = draw(st.permutations(range(nrows)))
-    again = [tuple(c * x for x in rows[i])
-             for i, c in zip(order, draw(st.lists(
-                 _units(model), min_size=nrows, max_size=nrows)))]
-    extra = [model.zero] * ncols
-    for r in rows:
-        c = draw(el)
-        extra = [x + c * y for x, y in zip(extra, r)]
-    again.insert(draw(st.integers(0, nrows)), tuple(extra))
-    return rows, tuple(again)
-
-
-@given(regenerated_spans())
-@example((mat_from_rows(RAT, [[0, 2, 4], [1, 0, 1], [1, 1, 3]]),
-          mat_from_rows(RAT, [[1, 1, 3], [0, (0, 1), (0, 2)], [3, 0, 3]])))
-@example((mat_from_rows(F9, [[2, 1], [1, 2]]),
-          mat_from_rows(F9, [[1, 2], [0, 0], [1, 2]])))
-@settings(max_examples=200, deadline=None)
-def test_row_echelon_is_a_key_of_the_span(spans):
-    rows, again = spans
-    form = row_echelon(rows)
-    _assert_reduced_echelon(form)
-    assert len(form) == mat_rank(rows)
-    assert row_echelon(again) == form
-    assert hash(row_echelon(again)) == hash(form)
-
-
-@st.composite
-def rows_against_spans(draw):
-    """A matrix over Q(sqrt 2), F_9 or F_16 and a row, half the time an
-    E-combination of its rows."""
-    model = draw(st.sampled_from(ECHELON_MODELS))
-    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    rows = draw(e_matrices(model, nrows, ncols))
-    el = _elements(model)
-    if draw(st.booleans()):
-        row = [model.zero] * ncols
-        for r in rows:
-            c = draw(el)
-            row = [x + c * y for x, y in zip(row, r)]
-    else:
-        row = draw(st.lists(el, min_size=ncols, max_size=ncols))
-    return rows, tuple(row)
-
-
-@given(rows_against_spans())
-# a multiple of the pivot row, and over F_9 a multiple by 2 = -1
-@example((mat_from_rows(RAT, [[2, 4], [0, 0]]),
-          mat_from_rows(RAT, [[3, 6]])[0]))
-@example((mat_from_rows(F9, [[0, 2, 1]]), mat_from_rows(F9, [[0, 1, 2]])[0]))
-@settings(max_examples=200, deadline=None)
-def test_reduced_row_is_zero_exactly_inside_the_span(case):
-    rows, row = case
-    form = row_echelon(rows)
-    assert any(reduce_row(form, row)) == \
-        (mat_rank(rows + (row,)) > mat_rank(rows))
-    # each row of the form is zero in the other rows' leading columns
-    for k, b in enumerate(form):
-        assert reduce_row(form[:k] + form[k + 1:], b) == list(b)
-
-
 @st.composite
 def square_matrices(draw):
     """Square matrices over Q(sqrt 2), F_9 or F_16: half of them rows
     permuted from L * U, L lower unitriangular and U upper triangular
     with units on its diagonal, hence invertible; the others mostly
     singular."""
-    model = draw(st.sampled_from(ECHELON_MODELS))
+    model = draw(st.sampled_from(INVERSE_MODELS))
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
         return model, draw(e_matrices(model, n, n))

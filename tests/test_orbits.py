@@ -253,6 +253,31 @@ def test_check_dimhy_examples_and_sweep():
             assert check_dimHY(t)
 
 
+@pytest.mark.parametrize("shift", ["springer_dim_F", "centralizer_dim_F"])
+def test_check_dimhy_can_fail(monkeypatch, shift):
+    import tworb.orbits as orbits
+    from tworb.cli import RunConfig, cmd_verify
+
+    types = [t for n in range(0, 5) for t in enumerate_orbits(n)]
+    cfg = RunConfig(n_max=4)
+    # the unpatched check passes first, so the orbit_dimension cache is warm
+    assert all(check_dimHY(t) for t in types)
+    assert cmd_verify("dimHY", cfg)[0] == 0
+    real = orbits.orbit_dimension
+
+    def shifted(t):
+        inv = real(t)
+        return dataclasses.replace(inv, **{shift: getattr(inv, shift) + 1})
+
+    monkeypatch.setattr(orbits, "orbit_dimension", shifted)
+    assert not any(check_dimHY(t) for t in types)
+    code, report = cmd_verify("dimHY", cfg)
+    assert code == 1
+    # every formula case fails; the flag cases read cli's own binding
+    assert [c["ok"] for c in report["cases"]
+            if not c["case"].startswith("flag")] == [False] * len(types)
+
+
 def test_census_n1():
     counts = orbit_census(1, F4)
     assert counts == {T(1): 1}
@@ -310,13 +335,18 @@ def test_census_orbit_stabilizer_q2():
     assert all(group % c == 0 for c in counts.values())
 
 
-def test_census_budget_and_sampling():
-    with pytest.raises(BudgetExceeded):
+def test_census_over_budget_raises():
+    # 3^8 = 6561 matrices in gl_2(F_9); gl_1(F_4) holds 4, within a budget
+    # of 4 and above one of 3
+    with pytest.raises(BudgetExceeded,
+                       match="^6561 matrices exceed budget 10$"):
         orbit_census(2, F9, budget=10)
-    sampled = orbit_census(2, F9, budget=10, sample_size=300, seed=3)
-    assert set(sampled) <= {T(2), T(1, 1)}
-    again = orbit_census(2, F9, budget=10, sample_size=300, seed=3)
-    assert sampled == again  # seeded determinism
+    assert orbit_census(1, F4, budget=4) == {T(1): 1}
+    with pytest.raises(BudgetExceeded):
+        orbit_census(1, F4, budget=3)
+    # the census is exhaustive: it takes no sample size and no seed
+    with pytest.raises(TypeError):
+        orbit_census(2, F9, budget=10, sample_size=300, seed=3)
 
 
 def test_census_tests_each_matrix_for_nilpotence_once(monkeypatch):

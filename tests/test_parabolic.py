@@ -1,6 +1,7 @@
 """Parabolic masks, the rank certificate, induction, and the flag oracle."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -9,12 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import embed_m_x
+from oracles import SingularMatrix, embed_m_x, sigma_conjugate
 
 from tworb.cli import _all_compositions
 from tworb.fields import make_extension
 from tworb.linalg import (FLinearSystem, TwistedEndo, _pivot_columns,
-                          bracket_system, mat_eq, mat_mul, mat_sigma)
+                          bracket_system, is_nilpotent, mat_eq, mat_mul,
+                          mat_sigma)
 from tworb.orbits import (JordanType, enumerate_orbits, orbit_dimension,
                           standard_representative)
 from tworb.parabolic import (BadComposition, GenericityFailure, PorbReport,
@@ -384,9 +386,9 @@ def test_the_levi_block_is_assembled_from_its_diagonal_blocks(model):
 
 
 def test_a_levi_block_is_ranked_once_per_model(monkeypatch):
-    # one block, payload for payload, over three models and a second copy
-    # of one of them: each distinct model ranks it once, and gets the rank
-    # and kernel of its own whole-m flattening
+    # one block, payload for payload, over three models and a second call
+    # for one of them, which returns the same object: each model ranks it
+    # once, and gets the rank and kernel of its own whole-m flattening
     import tworb.parabolic as parabolic
 
     monkeypatch.setattr(parabolic, "_BLOCK_SYSTEMS", {})
@@ -862,7 +864,7 @@ def test_only_an_empty_s_n_shares_x_as_the_sample(model):
             assert x._powers
         else:
             assert len({id(w) for w in samples} | {id(x)}) == 21
-            assert x._powers == () and x._sigma_mat is None
+            assert x._powers == ()
 
 
 def test_verify_porb_checks_the_orbit_dimension_once_per_type(monkeypatch):
@@ -885,6 +887,30 @@ def test_verify_porb_checks_the_orbit_dimension_once_per_type(monkeypatch):
     bad = verify_porb(shape, types, RAT, trials=10, seed=3)
     assert dims == [*types, T(2, 1), T(1, 1, 1)]
     assert bad.tangent_dim_checks == (bad.certified_trials + 1) // 2
+
+
+def test_verify_porb_tangent_dim_check_can_fail(monkeypatch):
+    # Levi dimensions shifted so the induced dimension is off by 2: every
+    # certified sample then fails the check, and the case is not ok
+    import tworb.parabolic as parabolic
+
+    shape, types = standard_parabolic((2, 1)), zero_types((2, 1))
+    good = verify_porb(shape, types, RAT, trials=10, seed=3)
+    assert good.ok and good.tangent_dim_checks == good.certified_trials > 0
+    real = parabolic.orbit_dimension
+
+    def shifted(t):
+        inv = real(t)
+        if t != types[1]:
+            return inv
+        return dataclasses.replace(inv, dim_orbit_F=inv.dim_orbit_F + 2)
+
+    monkeypatch.setattr(parabolic, "orbit_dimension", shifted)
+    bad = verify_porb(shape, types, RAT, trials=10, seed=3)
+    assert bad.certified_trials == good.certified_trials
+    assert bad.induced_type == good.induced_type == induced_row_sum(types)
+    assert bad.tangent_dim_checks == 0 and not bad.ok
+    assert not bad.to_json()["tangent_dim_checks"]
 
 
 def test_induced_row_sum():
@@ -946,9 +972,8 @@ def test_flag_counts_over_f16():
 
 
 def test_flag_count_inverts_only_pivots_that_are_not_one(monkeypatch):
-    # row_echelon runs on an echelon basis plus one vector with a leading
-    # one, zero at the basis pivots, so every pivot it meets is one and
-    # none is inverted
+    # each step is tested by mat_rank, whose elimination takes no inverse,
+    # so the flag count inverts no pivot at all
     import tworb.fields as fields
 
     inverted = []
@@ -969,6 +994,73 @@ def test_flag_counts_over_an_odd_prime():
     assert flag_fixed_count(standard_representative(T(2), F9)) == 1
     assert flag_fixed_count(standard_representative(T(1, 1), F9)) == 10
     assert flag_fixed_count(standard_representative(T(2, 1), F9)) == 19
+
+
+@functools.lru_cache(maxsize=None)
+def _supersets(model, n, sub):
+    """The subspaces of E^n one dimension above ``sub``, each a frozenset
+    of vectors: sub plus the multiples of one vector outside it, with no
+    vector taken from a superspace found before."""
+    elems = list(model.elements())
+    found = []
+    for w in itertools.product(elems, repeat=n):
+        if w not in sub and not any(w in v for v in found):
+            found.append(frozenset(
+                tuple(a + c * b for a, b in zip(u, w))
+                for u in sub for c in elems))
+    return tuple(found)
+
+
+def _stable_flags_by_subspaces(y):
+    """Complete flags of E^n with every step stable under v -> Y sigma(v),
+    counted with no elimination: each step is a frozenset of vectors, and
+    it is stable when it holds the image of each of its vectors."""
+    model, n = y.model, y.n
+    zero = model.zero
+    images = {}
+
+    def image(v):
+        if v not in images:
+            sv = [model.sigma(x) for x in v]
+            images[v] = tuple(sum((a * b for a, b in zip(row, sv)), zero)
+                              for row in y.mat)
+        return images[v]
+
+    def count_from(sub, dim):
+        if dim == n - 1:
+            return 1
+        return sum(count_from(v, dim + 1)
+                   for v in _supersets(model, n, sub)
+                   if all(image(u) in v for u in v))
+
+    return count_from(frozenset([(zero,) * n]), 0)
+
+
+@pytest.mark.parametrize("model", [F4, F9], ids=["F4", "F9"])
+def test_flag_count_matches_subspace_enumeration(model):
+    # seeded random maps, nilpotent (a conjugate of each standard
+    # representative) and not, off the standard flag
+    rng = random.Random(26)
+    for n in (1, 2, 3):
+        maps = []
+        for t in enumerate_orbits(n):
+            while True:
+                h = tuple(tuple(model.random_element(rng) for _ in range(n))
+                          for _ in range(n))
+                try:
+                    maps.append(sigma_conjugate(
+                        h, standard_representative(t, model)))
+                    break
+                except SingularMatrix:
+                    pass
+        while len(maps) < len(enumerate_orbits(n)) + 2:
+            y = TwistedEndo(model, n, tuple(
+                tuple(model.random_element(rng) for _ in range(n))
+                for _ in range(n)))
+            if not is_nilpotent(y):
+                maps.append(y)
+        for y in maps:
+            assert flag_fixed_count(y) == _stable_flags_by_subspaces(y), y
 
 
 def test_flag_count_degree_matches_springer_dim():

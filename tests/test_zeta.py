@@ -295,6 +295,26 @@ def test_scaling_check_can_fail(monkeypatch, shift):
             assert not scaling_exponent_check(t, k), (shift, t, k)
 
 
+@pytest.mark.parametrize("shift", ["half_dim", "c_exponent"])
+def test_identity_check_can_fail(monkeypatch, shift):
+    types = [t for n in range(0, 6) for t in enumerate_orbits(n)]
+    cfg = RunConfig(n_max=5)
+    # the unpatched check passes first, so the orbit_dimension cache is warm
+    assert all(homogeneity_identity_check(t) for t in types)
+    assert cli.cmd_verify("identity", cfg)[0] == 0
+    real_inv = zeta.orbit_dimension
+
+    def shifted(t):
+        inv = real_inv(t)
+        return dataclasses.replace(inv, **{shift: getattr(inv, shift) + 1})
+
+    monkeypatch.setattr(zeta, "orbit_dimension", shifted)
+    assert not any(homogeneity_identity_check(t) for t in types)
+    code, report = cli.cmd_verify("identity", cfg)
+    assert code == 1 and report["passed"] == 0
+    assert report["failed"] == len(types)
+
+
 def test_scaling_check_builds_one_exponent_table(monkeypatch):
     calls = []
     real_table = zeta.exponent_table
